@@ -4,7 +4,7 @@
 Equivalent to:  shearbeam convergence --levels 40,80,160,320,640,1280 \
                     --T 1.2 --dt-rule c/M --c 0.04
 
-Takes a minute or two; pass --jobs N to run levels concurrently.
+The levels run one after another; M=1280 takes most of the time.
 """
 
 import sys

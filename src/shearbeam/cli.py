@@ -147,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--dt-rule", default="c/M", choices=["c/M"],
                       help="rule pairing dt with M")
     conv.add_argument("--c", type=float, default=0.04, help="constant of the dt rule")
-    conv.add_argument("--jobs", type=int, default=1,
-                      help="levels to run concurrently")
     conv.add_argument("--config", default=None,
                       help="optional config file supplying the constitutive constants")
     conv.add_argument("--output-dir", dest="ov_output_dir", default=None)
@@ -259,7 +257,7 @@ def _cmd_convergence(args) -> int:
         model.validate(params, model.SimulationConfig(M=M, dt=dt, T=args.T))
 
     case = mms.reference_case(params)
-    rows = mms.convergence_table(case, levels, args.T, jobs=max(1, args.jobs))
+    rows = mms.convergence_table(case, levels, args.T)
 
     out = Path(_resolve_output_dir(args, "."))
     write_convergence_csv(out / "convergence.csv", rows)

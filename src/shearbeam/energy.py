@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .femesh import UniformMesh, build_gradient, build_mass, build_stiffness
+from .femesh import UniformMesh
 from .model import DegenerateWindow, PhysicalParams
 from .stepper import State
 
@@ -26,9 +26,7 @@ from .stepper import State
 def discrete_energy(state: State, mesh: UniformMesh, params: PhysicalParams) -> float:
     """Energy of one discrete state; positive definite for positive params."""
     p = params
-    mass = build_mass(mesh)
-    stiff = build_stiffness(mesh)
-    grad = build_gradient(mesh)
+    mass, stiff, grad = mesh.mass, mesh.stiffness, mesh.gradient
     u, phi, psi, w = (state.u.values, state.phi.values,
                       state.psi.values, state.w.values)
     # |phi_x + psi|^2 = phi^T S phi + 2 phi^T G^T psi + psi^T M psi

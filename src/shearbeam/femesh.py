@@ -22,6 +22,7 @@ the O(h + dt) error of the time stepper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,6 +51,27 @@ class UniformMesh:
     def n_interior(self) -> int:
         return self.M - 1
 
+    def locate(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Element index e and local coordinate s in [0, 1] of points x, so
+        that x = (e + s) * h."""
+        x = np.asarray(x, dtype=float)
+        e = np.clip((x / self.h).astype(int), 0, self.M - 1)
+        return e, x / self.h - e
+
+    # The three operators depend on the mesh alone; every caller shares
+    # one copy, which nobody writes to.
+    @cached_property
+    def mass(self) -> "TriDiag":
+        return build_mass(self)
+
+    @cached_property
+    def stiffness(self) -> "TriDiag":
+        return build_stiffness(self)
+
+    @cached_property
+    def gradient(self) -> "TriDiag":
+        return build_gradient(self)
+
     def __repr__(self) -> str:
         return f"UniformMesh(M={self.M}, L={self.L})"
 
@@ -76,10 +98,7 @@ class FeFunction:
 
     def at(self, x) -> np.ndarray:
         """Evaluate at arbitrary points of [0, L]."""
-        x = np.asarray(x, dtype=float)
-        m = self.mesh
-        e = np.clip((x / m.h).astype(int), 0, m.M - 1)
-        s = x / m.h - e
+        e, s = self.mesh.locate(x)
         full = self.with_boundary()
         return full[e] * (1.0 - s) + full[e + 1] * s
 
@@ -143,27 +162,34 @@ class TriDiag:
                 + np.diag(self.upper, 1))
 
 
+def stencils(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sub, main, super) diagonals of the mass, stiffness and gradient
+    matrices on a mesh of width h; every row of each matrix repeats them."""
+    return (np.array([h / 6.0, 2.0 * h / 3.0, h / 6.0]),
+            np.array([-1.0 / h, 2.0 / h, -1.0 / h]),
+            np.array([-0.5, 0.0, 0.5]))
+
+
+def toeplitz(n: int, stencil) -> TriDiag:
+    """The n x n tridiagonal matrix with constant (sub, main, super) diagonals."""
+    sub, main, sup = stencil
+    return TriDiag(np.full(n, main), np.full(n - 1, sub), np.full(n - 1, sup))
+
+
 def build_mass(mesh: UniformMesh) -> TriDiag:
     """Matrix of (v_j, v_i) over interior hat functions."""
-    n = mesh.n_interior
-    return TriDiag(np.full(n, 2.0 * mesh.h / 3.0),
-                   np.full(n - 1, mesh.h / 6.0),
-                   np.full(n - 1, mesh.h / 6.0))
+    return toeplitz(mesh.n_interior, stencils(mesh.h)[0])
 
 
 def build_stiffness(mesh: UniformMesh) -> TriDiag:
     """Matrix of (v_j', v_i')."""
-    n = mesh.n_interior
-    return TriDiag(np.full(n, 2.0 / mesh.h),
-                   np.full(n - 1, -1.0 / mesh.h),
-                   np.full(n - 1, -1.0 / mesh.h))
+    return toeplitz(mesh.n_interior, stencils(mesh.h)[1])
 
 
 def build_gradient(mesh: UniformMesh) -> TriDiag:
     """Matrix of (v_j', v_i); antisymmetric, so its transpose represents
     the integrated-by-parts form (v_j, v_i') with the sign flipped."""
-    n = mesh.n_interior
-    return TriDiag(np.zeros(n), np.full(n - 1, -0.5), np.full(n - 1, 0.5))
+    return toeplitz(mesh.n_interior, stencils(mesh.h)[2])
 
 
 def interpolate(f: Callable[[np.ndarray], np.ndarray], mesh: UniformMesh) -> FeFunction:
@@ -178,27 +204,33 @@ def interpolate(f: Callable[[np.ndarray], np.ndarray], mesh: UniformMesh) -> FeF
 
 def l2_norm(v: FeFunction) -> float:
     """Exact L2 norm of a P1 function: sqrt(c^T Mass c)."""
-    q = build_mass(v.mesh).quad(v.values)
+    q = v.mesh.mass.quad(v.values)
     return float(np.sqrt(max(q, 0.0)))
 
 
 def h1_seminorm(v: FeFunction) -> float:
     """Exact L2 norm of the derivative: sqrt(c^T Stiffness c)."""
-    q = build_stiffness(v.mesh).quad(v.values)
+    q = v.mesh.stiffness.quad(v.values)
     return float(np.sqrt(max(q, 0.0)))
 
 
-def load_vector(f: Callable[[np.ndarray, float], np.ndarray], t: float,
-                mesh: UniformMesh) -> np.ndarray:
-    """Interior entries of (f(., t), v_i) by per-element 3-point Gauss."""
+def load_vector(f: Callable[[np.ndarray, float], np.ndarray],
+                t: float | np.ndarray, mesh: UniformMesh) -> np.ndarray:
+    """Interior entries of (f(., t), v_i) by per-element 3-point Gauss.
+
+    `t` is a time or a 1-D array of times.  For an array, f is evaluated
+    once, on `quad_x` against the times as a (k, 1, 1) column, and the
+    result holds one row of n_interior entries per time.
+    """
+    if np.ndim(t) != 0:
+        t = np.asarray(t, dtype=float)[:, None, None]
     fv = np.broadcast_to(np.asarray(f(mesh.quad_x, t), dtype=float),
-                         mesh.quad_x.shape)
-    left = mesh.h * (fv * (_GAUSS_W * (1.0 - _GAUSS_S))).sum(axis=1)
-    right = mesh.h * (fv * (_GAUSS_W * _GAUSS_S)).sum(axis=1)
-    full = np.zeros(mesh.M + 1)
-    full[:-1] += left
-    full[1:] += right
-    return full[1:-1]
+                         np.shape(t)[:1] + mesh.quad_x.shape)
+    # Summed term by term, so a time gives the same bits alone or in a batch.
+    wl, wr = mesh.h * _GAUSS_W * (1.0 - _GAUSS_S), mesh.h * _GAUSS_W * _GAUSS_S
+    left = fv[..., 0] * wl[0] + fv[..., 1] * wl[1] + fv[..., 2] * wl[2]
+    right = fv[..., 0] * wr[0] + fv[..., 1] * wr[1] + fv[..., 2] * wr[2]
+    return left[..., 1:] + right[..., :-1]
 
 
 def integrate(mesh: UniformMesh, values_at_quad: np.ndarray) -> float:

@@ -17,7 +17,6 @@ h + dt.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -162,19 +161,10 @@ def run_level(case: ManufacturedCase, M: int, dt: float, T: float) -> float:
     return error_norm(final, case, final.t)
 
 
-def convergence_table(case: ManufacturedCase, levels, T: float,
-                      jobs: int = 1) -> list[ConvergenceRow]:
-    """Run every (M, dt) level and tabulate errors with halving ratios.
-
-    Levels are independent simulations; `jobs > 1` runs them in a thread
-    pool (the work is dominated by the GIL-releasing banded solver).
-    """
+def convergence_table(case: ManufacturedCase, levels, T: float) -> list[ConvergenceRow]:
+    """Run every (M, dt) level in turn and tabulate errors with halving ratios."""
     levels = list(levels)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            errors = list(pool.map(lambda lv: run_level(case, lv[0], lv[1], T), levels))
-    else:
-        errors = [run_level(case, M, dt, T) for M, dt in levels]
+    errors = [run_level(case, M, dt, T) for M, dt in levels]
 
     rows: list[ConvergenceRow] = []
     for i, ((M, dt), err) in enumerate(zip(levels, errors)):

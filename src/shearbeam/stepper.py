@@ -26,22 +26,38 @@ evolution equation; solving row (3) together with the velocity rows keeps
 the beta-coupling blocks exact transposes-up-to-sign of each other, which
 is what makes the discrete energy nonincreasing.
 
-The matrix does not depend on the step index, so it is assembled once in a
-node-interleaved ordering (xi_i, Phi_i, psi_i, vartheta_i) — band width 6
-on either side — and LU-factorized once per (params, mesh, dt).  Optional
-sources f1..f4 are evaluated at the new time level, matching the backward-
-Euler character of the scheme.
+The step is linear with constant coefficients on a uniform mesh, so every
+operator it uses is block-tridiagonal Toeplitz with 4x4 blocks: the step
+matrix A; B, which maps the previous unknowns x = (xi, Phi, psi, vartheta)
+to the right-hand side; and C, which maps the previous displacements
+d = (u, phi, phi - u, w) to it.  The suspender term is thus still formed
+from the difference phi - u, which `d` keeps in the slot psi leaves free.
+A state is held node-major, as two (M+1, 4) arrays x and d over all mesh
+nodes whose first and last rows (the clamped ends) stay zero; the interior
+rows, flattened, are the solve ordering (xi_i, Phi_i, psi_i, vartheta_i).
+One step is
+
+    rhs = B x + C d + loads,    A x_new = rhs,    d_new = d + dt*x_new.
+
+Each operator is stored as one 12x4 stencil, the transposed sub-, main-
+and super-diagonal blocks stacked, and applied as a single product with
+the (M-1, 12) view whose row for interior node i holds nodes i-1, i and
+i+1 (`_windows`).  A is also assembled once in band storage — band width
+6 on either side — and LU-factorized once per (params, mesh, dt); its
+stencil checks the residual of every solve.  Optional sources f1..f4 are
+evaluated at the new time level, matching the backward-Euler character of
+the scheme.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .femesh import (FeFunction, TriDiag, UniformMesh, build_gradient,
-                     build_mass, build_stiffness, interpolate, load_vector)
+from .femesh import (FeFunction, UniformMesh, interpolate, load_vector,
+                     stencils, toeplitz)
 from .model import (InitialData, PhysicalParams, SimulationConfig,
                     SingularSystem, SolverFailure, num_steps, validate,
                     validate_initial_data)
@@ -50,31 +66,100 @@ from .model import (InitialData, PhysicalParams, SimulationConfig,
 # vartheta_i <-> Phi_{i +/- 1}, six positions away.
 _KL = _KU = 6
 
-# Component offsets within a node's group of four unknowns.
+# Component offsets within a node's group of four unknowns (columns of x),
+# and the columns of the displacement array d.
 _XI, _PHI, _PSI, _VTH = 0, 1, 2, 3
+_U, _DPHI, _SPRING, _W = 0, 1, 2, 3
 
 # Relative linear-solve residual accepted by `advance`.
 RESIDUAL_TOL = 1e-10
 
+# Memory of one batch of source values evaluated by `run` (bytes per source).
+_LOAD_BATCH_BYTES = 1 << 17
 
-@dataclass
+
+def _padded(*fields: FeFunction) -> np.ndarray:
+    """Node-major (M+1, k) array of k fields, zero in the two end rows."""
+    out = np.zeros((fields[0].mesh.M + 1, len(fields)))
+    out[1:-1] = np.column_stack([f.values for f in fields])
+    return out
+
+
+def _windows(v: np.ndarray) -> np.ndarray:
+    """(M-1, 12) view of a contiguous (M+1, 4) node-major array whose row i
+    holds the rows i, i+1 and i+2 of v: interior node i+1 and its neighbours."""
+    return np.ndarray((v.shape[0] - 2, 3 * v.shape[1]), v.dtype, v, 0, v.strides)
+
+
 class State:
-    """The seven discrete fields at one time level."""
+    """The seven discrete fields at one time level.
 
-    u: FeFunction
-    phi: FeFunction
-    psi: FeFunction
-    w: FeFunction
-    xi: FeFunction        # u_t
-    Phi: FeFunction       # phi_t
-    vartheta: FeFunction  # w_t
-    t: float
-    n: int
+    Stored node-major over all M+1 nodes: x[:, k] holds (xi, Phi, psi,
+    vartheta) and d[:, k] holds (u, phi, phi - u, w), with zero end rows.
+    The fields are `FeFunction` views of those arrays, built on access.
+    The arrays are never written after construction.
+    """
+
+    def __init__(self, u: FeFunction, phi: FeFunction, psi: FeFunction,
+                 w: FeFunction, xi: FeFunction, Phi: FeFunction,
+                 vartheta: FeFunction, t: float, n: int):
+        self._init(u.mesh, _padded(xi, Phi, psi, vartheta),
+                   _padded(u, phi, phi - u, w), t, n)
+
+    @classmethod
+    def _from_arrays(cls, mesh: UniformMesh, x: np.ndarray, d: np.ndarray,
+                     t: float, n: int) -> "State":
+        state = cls.__new__(cls)
+        state._init(mesh, x, d, t, n)
+        return state
+
+    def _init(self, mesh, x, d, t, n):
+        self.mesh, self._x, self._d, self.t, self.n = mesh, x, d, t, n
+
+    @property
+    def u(self) -> FeFunction:
+        return FeFunction(self.mesh, self._d[1:-1, _U])
+
+    @property
+    def phi(self) -> FeFunction:
+        return FeFunction(self.mesh, self._d[1:-1, _DPHI])
+
+    @property
+    def psi(self) -> FeFunction:
+        return FeFunction(self.mesh, self._x[1:-1, _PSI])
+
+    @property
+    def w(self) -> FeFunction:
+        return FeFunction(self.mesh, self._d[1:-1, _W])
+
+    @property
+    def xi(self) -> FeFunction:
+        """u_t"""
+        return FeFunction(self.mesh, self._x[1:-1, _XI])
+
+    @property
+    def Phi(self) -> FeFunction:
+        """phi_t"""
+        return FeFunction(self.mesh, self._x[1:-1, _PHI])
+
+    @property
+    def vartheta(self) -> FeFunction:
+        """w_t"""
+        return FeFunction(self.mesh, self._x[1:-1, _VTH])
 
     @property
     def theta(self) -> FeFunction:
         """Temperature, recovered from the integrated variable as w_t."""
         return self.vartheta
+
+    def _node(self, j: int) -> np.ndarray:
+        """(u, phi, psi, w) at mesh node j."""
+        row = self._d[j].copy()
+        row[_SPRING] = self._x[j, _PSI]
+        return row
+
+    def __repr__(self) -> str:
+        return f"State(mesh={self.mesh!r}, t={self.t!r}, n={self.n!r})"
 
 
 def initial_state(init: InitialData, mesh: UniformMesh) -> State:
@@ -91,8 +176,18 @@ def psi_rate(prev: State, curr: State) -> FeFunction:
                       / (curr.t - prev.t))
 
 
+def _block_stencil(blocks: dict) -> np.ndarray:
+    """Stack {(row, col): (sub, main, super)} into the 12x4 stencil that
+    multiplies `_windows` rows from the right."""
+    out = np.zeros((3, 4, 4))
+    for (r, c), stencil in blocks.items():
+        out[:, c, r] = stencil
+    return out.reshape(12, 4)
+
+
 class BlockSystem:
-    """The factorized, time-independent step matrix.
+    """The factorized, time-independent step matrix and the stencils of
+    the step's operators.
 
     Immutable after construction; one instance serves every step of a run
     at fixed (params, mesh, dt) and may be shared read-only.
@@ -105,33 +200,43 @@ class BlockSystem:
         self.n_unknowns = 4 * mesh.n_interior
 
         p, n = params, mesh.n_interior
-        mass = build_mass(mesh)
-        stiff = build_stiffness(mesh)
-        grad = build_gradient(mesh)
-        self.mass, self.stiffness, self.gradient = mass, stiff, grad
-
-        self.blocks: dict[tuple[int, int], TriDiag] = {
-            (_XI, _XI): mass.scaled(p.rho / dt + p.mu + p.lam * dt)
-                        + stiff.scaled(p.alpha * dt),
-            (_XI, _PHI): mass.scaled(-p.lam * dt),
-            (_PHI, _XI): mass.scaled(-p.lam * dt),
-            (_PHI, _PHI): mass.scaled(p.rho1 / dt + p.gamma + p.lam * dt)
-                          + stiff.scaled(p.K * dt),
-            (_PHI, _PSI): grad.transpose().scaled(p.K),
-            (_PHI, _VTH): grad.scaled(p.beta),
-            (_PSI, _PHI): grad.scaled(p.K * dt),
-            (_PSI, _PSI): stiff.scaled(p.b) + mass.scaled(p.K),
-            (_VTH, _PHI): grad.scaled(p.beta),
-            (_VTH, _VTH): mass.scaled(p.rho3 / dt)
-                          + stiff.scaled(p.kappa + p.delta * dt),
+        mass, stiff, grad = stencils(mesh.h)
+        a_blocks = {
+            (_XI, _XI): (p.rho / dt + p.mu + p.lam * dt) * mass
+                        + (p.alpha * dt) * stiff,
+            (_XI, _PHI): (-p.lam * dt) * mass,
+            (_PHI, _XI): (-p.lam * dt) * mass,
+            (_PHI, _PHI): (p.rho1 / dt + p.gamma + p.lam * dt) * mass
+                          + (p.K * dt) * stiff,
+            (_PHI, _PSI): p.K * grad[::-1],  # the transposed gradient
+            (_PHI, _VTH): p.beta * grad,
+            (_PSI, _PHI): (p.K * dt) * grad,
+            (_PSI, _PSI): p.b * stiff + p.K * mass,
+            (_VTH, _PHI): p.beta * grad,
+            (_VTH, _VTH): (p.rho3 / dt) * mass + (p.kappa + p.delta * dt) * stiff,
         }
+        self.blocks = {rc: toeplitz(n, stencil) for rc, stencil in a_blocks.items()}
+        self._A = _block_stencil(a_blocks)
+        self._B = _block_stencil({
+            (_XI, _XI): (p.rho / dt) * mass,
+            (_PHI, _PHI): (p.rho1 / dt) * mass,
+            (_VTH, _VTH): (p.rho3 / dt) * mass,
+        })
+        self._C = _block_stencil({
+            (_XI, _U): -p.alpha * stiff,
+            (_XI, _SPRING): p.lam * mass,
+            (_PHI, _DPHI): -p.K * stiff,
+            (_PHI, _SPRING): -p.lam * mass,
+            (_PSI, _DPHI): -p.K * grad,
+            (_VTH, _W): -p.delta * stiff,
+        })
 
         ab = np.zeros((2 * _KL + _KU + 1, self.n_unknowns))
         idx = 4 * np.arange(n)
-        for (r, c), tri in self.blocks.items():
-            ab[_KL + _KU + r - c, idx + c] += tri.main
-            ab[_KL + _KU + r - c + 4, idx[:-1] + c] += tri.lower
-            ab[_KL + _KU + r - c - 4, idx[1:] + c] += tri.upper
+        for (r, c), (sub, main, sup) in a_blocks.items():
+            ab[_KL + _KU + r - c, idx + c] = main
+            ab[_KL + _KU + r - c + 4, idx[:-1] + c] = sub
+            ab[_KL + _KU + r - c - 4, idx[1:] + c] = sup
 
         lu, piv, info = lapack.dgbtrf(ab, _KL, _KU)
         if info > 0:
@@ -142,10 +247,9 @@ class BlockSystem:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Unfactorized matrix applied to an interleaved vector."""
-        y = np.zeros_like(x)
-        for (r, c), tri in self.blocks.items():
-            y[r::4] += tri.matvec(x[c::4])
-        return y
+        padded = np.zeros((self.mesh.M + 1, 4))
+        padded[1:-1] = x.reshape(-1, 4)
+        return (_windows(padded) @ self._A).reshape(x.shape)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x, info = lapack.dgbtrs(self._lu, _KL, _KU, rhs, self._piv)
@@ -170,51 +274,41 @@ def assemble(params: PhysicalParams, mesh: UniformMesh, dt: float) -> BlockSyste
     return BlockSystem(params, mesh, dt)
 
 
-def advance(system: BlockSystem, state: State,
-            loads: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
-            ) -> State:
-    """One implicit step.  `loads` are the four assembled source vectors
-    already evaluated at the new time level."""
-    p, dt = system.params, system.dt
-    mass, stiff, grad = system.mass, system.stiffness, system.gradient
-    u, phi, w = state.u.values, state.phi.values, state.w.values
-
-    rhs = np.zeros(system.n_unknowns)
-    spring = mass.matvec(phi - u)  # lam*(phi^{n-1} - u^{n-1}, .) pair
-    rhs[_XI::4] = (p.rho / dt) * mass.matvec(state.xi.values) \
-        + p.lam * spring - p.alpha * stiff.matvec(u)
-    rhs[_PHI::4] = (p.rho1 / dt) * mass.matvec(state.Phi.values) \
-        - p.lam * spring - p.K * stiff.matvec(phi)
-    rhs[_PSI::4] = -p.K * grad.matvec(phi)
-    rhs[_VTH::4] = (p.rho3 / dt) * mass.matvec(state.vartheta.values) \
-        - p.delta * stiff.matvec(w)
+def _step(system: BlockSystem, x: np.ndarray, d: np.ndarray,
+          loads: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The step on node-major arrays: (x, d) at the old level to new ones."""
+    rhs = _windows(x) @ system._B + _windows(d) @ system._C
     if loads is not None:
-        f1, f2, f3, f4 = loads
-        rhs[_XI::4] += f1
-        rhs[_PHI::4] += f2
-        rhs[_PSI::4] += f3
-        rhs[_VTH::4] += f4
+        rhs += loads
+    rhs = rhs.ravel()
 
-    x = system.solve(rhs)
+    sol = system.solve(rhs)
 
-    rhs_norm = float(np.linalg.norm(rhs))
-    residual = float(np.linalg.norm(system.matvec(x) - rhs))
-    if residual > RESIDUAL_TOL * max(rhs_norm, 1e-300):
+    # Written so that a NaN anywhere fails the check.
+    rhs_norm = math.sqrt(rhs @ rhs)
+    r = system.matvec(sol) - rhs
+    residual = math.sqrt(r @ r)
+    if not (math.isfinite(rhs_norm)
+            and residual <= RESIDUAL_TOL * max(rhs_norm, 1e-300)):
         raise SolverFailure(
             f"linear solve residual {residual:.3e} exceeds "
             f"{RESIDUAL_TOL:.1e} * |rhs| = {RESIDUAL_TOL * rhs_norm:.3e}")
 
-    mesh = system.mesh
-    xi_n, Phi_n = x[_XI::4], x[_PHI::4]
-    psi_n, vth_n = x[_PSI::4], x[_VTH::4]
-    return State(u=FeFunction(mesh, u + dt * xi_n),
-                 phi=FeFunction(mesh, phi + dt * Phi_n),
-                 psi=FeFunction(mesh, psi_n),
-                 w=FeFunction(mesh, w + dt * vth_n),
-                 xi=FeFunction(mesh, xi_n),
-                 Phi=FeFunction(mesh, Phi_n),
-                 vartheta=FeFunction(mesh, vth_n),
-                 t=(state.n + 1) * dt, n=state.n + 1)
+    x_new = np.zeros_like(x)
+    x_new[1:-1] = sol.reshape(-1, 4)
+    d_new = d + system.dt * x_new
+    d_new[:, _SPRING] = d_new[:, _DPHI] - d_new[:, _U]
+    return x_new, d_new
+
+
+def advance(system: BlockSystem, state: State, loads=None) -> State:
+    """One implicit step.  `loads` are the assembled sources at the new time
+    level: the four vectors f1..f4, or a node-major (M-1, 4) array."""
+    if loads is not None and not isinstance(loads, np.ndarray):
+        loads = np.stack(loads, axis=1)
+    x, d = _step(system, state._x, state._d, loads)
+    return State._from_arrays(system.mesh, x, d, (state.n + 1) * system.dt,
+                              state.n + 1)
 
 
 def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
@@ -222,10 +316,13 @@ def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
     """Advance N = round(T/dt) steps from the interpolated initial data.
 
     `sources`, when given, must expose vectorized callables f1..f4 of
-    (x, t); they are assembled into load vectors at each new time level.
-    Observers are callables invoked with the initial state and with the
-    state after every step; recorders decide their own strides.  The run
-    is deterministic: identical inputs give bit-identical states.
+    (x, t).  They are evaluated for a batch of time levels at once, with x
+    the (M, 3) Gauss points and t a (k, 1, 1) column of times, so f(x, t)
+    must broadcast over both; the result is assembled into one load vector
+    per new time level.  Observers are callables invoked with the initial
+    state and with the state after every step; recorders decide their own
+    strides.  The run is deterministic: identical inputs give
+    bit-identical states.
     """
     validate(params, config)
     validate_initial_data(init, params.L)
@@ -237,14 +334,17 @@ def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
         obs(state)
 
     total = num_steps(config)
+    batch = max(1, _LOAD_BATCH_BYTES // (8 * mesh.quad_x.size))
+    loads = None
     for k in range(1, total + 1):
-        loads = None
         if sources is not None:
-            t_new = k * config.dt
-            loads = (load_vector(sources.f1, t_new, mesh),
-                     load_vector(sources.f2, t_new, mesh),
-                     load_vector(sources.f3, t_new, mesh),
-                     load_vector(sources.f4, t_new, mesh))
+            if (k - 1) % batch == 0:
+                times = np.arange(k, min(k + batch, total + 1)) * config.dt
+                batch_loads = np.stack(
+                    [load_vector(f, times, mesh)
+                     for f in (sources.f1, sources.f2, sources.f3, sources.f4)],
+                    axis=-1)
+            loads = batch_loads[(k - 1) % batch]
         try:
             state = advance(system, state, loads)
         except SolverFailure as exc:
@@ -262,12 +362,20 @@ class ProbeRecorder:
         self.times: list[float] = []
         self.samples: dict[float, list[tuple[float, float, float, float]]] = \
             {x: [] for x in self.points}
+        self._mesh: UniformMesh | None = None
+        self._cells: list[tuple[int, float]] = []
 
     def __call__(self, state: State) -> None:
+        # Element and local coordinate of each point, located once per
+        # mesh; the interpolation below is `FeFunction.at`'s, to the bit.
+        if state.mesh is not self._mesh:
+            self._mesh = state.mesh
+            self._cells = [(int(e), float(s)) for e, s in
+                           map(state.mesh.locate, self.points)]
         self.times.append(state.t)
-        for x in self.points:
-            self.samples[x].append((float(state.u.at(x)), float(state.phi.at(x)),
-                                    float(state.psi.at(x)), float(state.w.at(x))))
+        for x, (e, s) in zip(self.points, self._cells):
+            vals = state._node(e) * (1.0 - s) + state._node(e + 1) * s
+            self.samples[x].append(tuple(vals.tolist()))
 
     def rows(self, x: float):
         """(t, u, phi, psi, w) rows for one probe point."""
@@ -290,7 +398,7 @@ class SnapshotRecorder:
         if not due:
             return
         if self.nodes is None:
-            self.nodes = state.u.mesh.nodes.copy()
+            self.nodes = state.mesh.nodes.copy()
         self.times.append(state.t)
         self.fields.append((state.u.with_boundary(), state.phi.with_boundary(),
                             state.psi.with_boundary(), state.w.with_boundary()))

@@ -67,6 +67,30 @@ class TestDiscreteEnergy:
         assert e1 > 0.0  # positive definite on a nonzero state
 
 
+def test_energy_bits_match_freshly_built_operators():
+    # The reference rebuilds the three matrices per call; reusing the
+    # mesh's operators must not change a bit.
+    from shearbeam.femesh import build_gradient, build_mass, build_stiffness
+    mesh = UniformMesh(17, 1.0)
+    rng = np.random.default_rng(5)
+    f = lambda: FeFunction(mesh, rng.normal(size=mesh.n_interior))
+    state = State(u=f(), phi=f(), psi=f(), w=f(), xi=f(), Phi=f(),
+                  vartheta=f(), t=0.0, n=0)
+    p = PARAMS
+    mass, stiff, grad = build_mass(mesh), build_stiffness(mesh), build_gradient(mesh)
+    u, phi, psi, w = (state.u.values, state.phi.values,
+                      state.psi.values, state.w.values)
+    shear = stiff.quad(phi) + 2.0 * float(phi @ grad.transpose().matvec(psi)) \
+        + mass.quad(psi)
+    expected = 0.5 * (p.rho * mass.quad(state.xi.values) + p.alpha * stiff.quad(u)
+                      + p.lam * mass.quad(phi - u) + p.rho1 * mass.quad(state.Phi.values)
+                      + p.K * shear + p.b * stiff.quad(psi)
+                      + p.rho3 * mass.quad(state.vartheta.values)
+                      + p.delta * stiff.quad(w))
+    for _ in range(2):
+        assert discrete_energy(state, mesh, PARAMS) == expected
+
+
 class TestCheckMonotone:
     def test_constant_zero_series_passes(self):
         series = EnergySeries(np.arange(5.0), np.zeros(5))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from shearbeam.femesh import (FeFunction, UniformMesh, build_gradient,
                               build_mass, build_stiffness, h1_seminorm,
@@ -107,6 +107,15 @@ class TestInterpolation:
             UniformMesh(1, 1.0)
 
 
+def test_mesh_operators_built_once_and_match_builders():
+    mesh = UniformMesh(7, 1.5)
+    for cached, built in ((mesh.mass, build_mass(mesh)),
+                          (mesh.stiffness, build_stiffness(mesh)),
+                          (mesh.gradient, build_gradient(mesh))):
+        assert_array_equal(cached.toarray(), built.toarray())
+    assert mesh.mass is mesh.mass and mesh.gradient is mesh.gradient
+
+
 class TestNorms:
     def test_zero(self):
         v = FeFunction(UniformMesh(5, 1.0), np.zeros(4))
@@ -133,6 +142,20 @@ class TestLoadVector:
         mesh = UniformMesh(4, 1.0)
         f = load_vector(lambda x, t: x, 0.0, mesh)
         assert_allclose(f, mesh.h * mesh.nodes[1:-1], rtol=1e-14)
+
+    def test_batch_of_times_equals_stacked_single_times(self):
+        mesh = UniformMesh(9, 1.0)
+        f = lambda x, t: np.exp(t) * np.sin(PI * x) + t * x ** 2
+        times = 0.01 * np.arange(1, 8)
+        batch = load_vector(f, times, mesh)
+        assert batch.shape == (7, mesh.n_interior)
+        assert_array_equal(batch, np.stack([load_vector(f, t, mesh) for t in times]))
+
+    def test_time_independent_source_in_a_batch(self):
+        mesh = UniformMesh(6, 1.0)
+        batch = load_vector(lambda x, t: np.ones_like(x), np.array([0.0, 1.0]), mesh)
+        assert batch.shape == (2, mesh.n_interior)
+        assert_allclose(batch, mesh.h, rtol=1e-14)
 
 
 @settings(max_examples=25, deadline=None)

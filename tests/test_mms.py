@@ -87,12 +87,6 @@ class TestConvergenceTable:
         rows = convergence_table(CASE, [(20, 0.002)], T=0.2)
         assert len(rows) == 1 and rows[0].ratio is None
 
-    def test_thread_pool_matches_sequential(self):
-        levels = [(20, 0.002), (40, 0.001)]
-        seq = convergence_table(CASE, levels, T=0.2, jobs=1)
-        par = convergence_table(CASE, levels, T=0.2, jobs=2)
-        assert [r.error for r in seq] == [r.error for r in par]
-
     def test_run_level_matches_table(self):
         err = run_level(CASE, 20, 0.002, 0.2)
         rows = convergence_table(CASE, [(20, 0.002)], T=0.2)

@@ -90,6 +90,13 @@ class TestInitialData:
         with pytest.raises(model.ValidationError, match="psi0"):
             validate_initial_data(bad, 1.0)
 
+    def test_nan_data_rejected(self):
+        # max|NaN| > atol is False: the check has to be written to fail on NaN.
+        bad = dataclasses.replace(sine_initial_data(1.0),
+                                  w1=lambda x: np.full_like(x, np.nan))
+        with pytest.raises(model.ValidationError, match="w1"):
+            validate_initial_data(bad, 1.0)
+
 
 class TestParseConfig:
     def test_bundled_baseline(self):

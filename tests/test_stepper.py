@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from shearbeam import stepper
 from shearbeam.energy import EnergyRecorder, check_monotone, discrete_energy
 from shearbeam.femesh import FeFunction, UniformMesh, interpolate, load_vector
-from shearbeam.mms import error_norm, initial_data, reference_case
+from shearbeam.mms import error_norm, initial_data, reference_case, run_level
 from shearbeam.model import (PhysicalParams, SimulationConfig, SingularSystem,
                              SolverFailure, baseline_params, sine_initial_data)
 from shearbeam.stepper import (ProbeRecorder, SnapshotRecorder, advance,
@@ -139,6 +141,28 @@ class TestAdvance:
         state = advance(system, state, loads)
         assert error_norm(state, case, dt) <= 1.05 * e0
 
+    @pytest.mark.parametrize("M", [2, 3, 7])
+    def test_matvec_matches_dense_matrix(self, M):
+        # M=2 has one interior node: no off-diagonal entry to read the
+        # stencil from.
+        system = assemble(PARAMS, UniformMesh(M, 1.0), 0.02)
+        x = np.random.default_rng(M).normal(size=system.n_unknowns)
+        assert_allclose(system.matvec(x), system.toarray() @ x,
+                        rtol=1e-13, atol=1e-13)
+
+    def test_returned_states_are_never_written(self):
+        mesh = UniformMesh(9, 1.0)
+        system = assemble(PARAMS, mesh, 0.01)
+        states = [initial_state(sine_initial_data(1.0), mesh)]
+        names = ("u", "phi", "psi", "w", "xi", "Phi", "vartheta")
+        snapshots = []
+        for _ in range(4):
+            states.append(advance(system, states[-1]))
+            snapshots.append({k: getattr(states[-1], k).values.copy() for k in names})
+        for state, snap in zip(states[1:], snapshots):
+            for k in names:
+                assert_array_equal(getattr(state, k).values, snap[k])
+
     def test_residual_guard_raises(self, monkeypatch):
         mesh = UniformMesh(6, 1.0)
         system = assemble(PARAMS, mesh, 0.01)
@@ -197,6 +221,61 @@ class TestRun:
         monkeypatch.setattr(stepper, "RESIDUAL_TOL", -1.0)
         with pytest.raises(SolverFailure, match=r"step 1 \(t = 0.1\)"):
             run(PARAMS, config, sine_initial_data(1.0))
+
+    def test_nan_state_fails_naming_the_step(self):
+        # interior NaN passes the endpoint check on the initial data
+        nan_inside = lambda x: np.where((x > 0.0) & (x < 1.0), np.nan, 0.0)
+        init = dataclasses.replace(sine_initial_data(1.0), u0=nan_inside)
+        config = SimulationConfig(M=10, dt=0.1, T=1.0)
+        with pytest.raises(SolverFailure, match=r"step 1 \(t = 0.1\)"):
+            run(PARAMS, config, init)
+
+    def test_nan_source_fails_naming_the_step(self):
+        case = reference_case()
+        f1 = lambda x, t: case.f1(x, t) + np.where(t > 0.25, np.nan, 0.0)
+        config = SimulationConfig(M=10, dt=0.1, T=1.0)
+        with pytest.raises(SolverFailure, match=r"step 3 \(t = 0.3\)"):
+            run(case.params, config, initial_data(case),
+                sources=dataclasses.replace(case, f1=f1))
+
+    def test_batched_sources_match_per_step_loads(self):
+        case = reference_case()
+        config = SimulationConfig(M=12, dt=0.01, T=0.2)
+        final = run(case.params, config, initial_data(case), sources=case)
+
+        mesh = UniformMesh(config.M, case.params.L)
+        system = assemble(case.params, mesh, config.dt)
+        state = initial_state(initial_data(case), mesh)
+        for k in range(1, 21):
+            loads = tuple(load_vector(f, k * config.dt, mesh)
+                          for f in (case.f1, case.f2, case.f3, case.f4))
+            state = advance(system, state, loads)
+        assert final.n == state.n == 20
+        for name in ("u", "phi", "psi", "w", "xi", "Phi", "vartheta"):
+            assert_allclose(getattr(final, name).values,
+                            getattr(state, name).values, rtol=1e-13, atol=1e-13)
+
+    def test_study_error_pinned(self):
+        # Level error recorded before the step was rewritten around block
+        # stencils.  Reordered sums move it by about 1e-13; forming the
+        # suspender term as lam*M*phi - lam*M*u instead of lam*M*(phi - u)
+        # moves it by 5e-12, which this bound must catch.
+        error = run_level(reference_case(), 40, 1e-3, 1.2)
+        assert error == pytest.approx(0.41532221597316682, rel=1e-12, abs=0.0)
+
+    def test_probe_matches_pointwise_evaluation(self):
+        mesh = UniformMesh(10, 1.0)
+        system = assemble(PARAMS, mesh, 0.01)
+        points = (1e-3, 0.3, 0.6, 0.95, 1.0 - 1e-12)
+        probe = ProbeRecorder(points)
+        state = random_state(mesh, np.random.default_rng(3))
+        for _ in range(3):
+            probe(state)
+            for x in points:
+                expected = tuple(float(getattr(state, k).at(x))
+                                 for k in ("u", "phi", "psi", "w"))
+                assert probe.samples[x][-1] == expected
+            state = advance(system, state)
 
     def test_psi_rate_diagnostic(self):
         mesh = UniformMesh(20, 1.0)
