@@ -5,14 +5,14 @@ manufactured-solution verification harness."""
 from .model import (ConfigError, DegenerateWindow, InitialData, InvalidMesh,
                     InvalidProbe, InvalidTimeStep, NonPositiveParameter,
                     PhysicalParams, SimulationConfig, SingularSystem,
-                    SolverFailure, ThermalData, ValidationError,
+                    SolverFailure, ValidationError,
                     baseline_params, parse_config, sine_initial_data, validate)
 from .femesh import (FeFunction, TriDiag, UniformMesh, build_gradient,
                      build_mass, build_stiffness, h1_seminorm, interpolate,
                      l2_error, l2_norm, load_vector)
-from .transform import EtaProblem, solve_eta, w_initial_data
+from .transform import EtaProblem, solve_eta
 from .stepper import (BlockSystem, ProbeRecorder, SnapshotRecorder, State,
-                      advance, assemble, initial_state, psi_rate, run)
+                      advance, assemble, initial_state, run)
 from .energy import (DecaySummary, EnergyRecorder, EnergySeries,
                      check_monotone, discrete_energy, fit_decay,
                      neg_log_over_t)

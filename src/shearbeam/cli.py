@@ -98,18 +98,38 @@ def read_energy_csv(path: Path) -> energy_mod.EnergySeries:
         except ValueError:
             raise model.ConfigError(f"{path}: not an energy CSV (header {header})") \
                 from None
-        for line in handle:
+        for ln, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
             cells = line.split(",")
-            t.append(float(cells[it]))
-            E.append(float(cells[iE]))
+            try:
+                t.append(float(cells[it]))
+                E.append(float(cells[iE]))
+            except (ValueError, IndexError):
+                raise model.ConfigError(
+                    f"{path}:{ln}: bad energy row '{line.strip()}'") from None
     return energy_mod.EnergySeries(np.asarray(t), np.asarray(E))
 
 
 # --------------------------------------------------------------------------
 # Argument parsing
 # --------------------------------------------------------------------------
+
+def _comma_list(flag: str, raw: str, convert=float) -> list:
+    """The items of a comma-separated flag value; blank items are skipped."""
+    try:
+        return [convert(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError:
+        raise model.ConfigError(f"{flag}: cannot parse '{raw}'") from None
+
+
+def _levels(raw: str) -> list[int]:
+    """The element counts of a --levels value; at least one."""
+    ms = _comma_list("--levels", raw, int)
+    if not ms:
+        raise model.ConfigError("--levels: no levels given")
+    return ms
+
 
 _OVERRIDE_FLOAT = ("rho", "alpha", "lambda", "mu", "rho1", "K", "gamma",
                    "beta", "b", "rho3", "delta", "kappa", "L", "dt", "T")
@@ -180,9 +200,7 @@ def _apply_overrides(args, params: model.PhysicalParams,
         if val is not None:
             config_over[attr] = val
     if getattr(args, "ov_probes", None) is not None:
-        raw = args.ov_probes.strip()
-        probes = tuple(float(p) for p in raw.split(",") if p.strip()) if raw else ()
-        config_over["probe_points"] = probes
+        config_over["probe_points"] = tuple(_comma_list("--probes", args.ov_probes))
     out = _resolve_output_dir(args, config.output_dir)
     if out != config.output_dir:
         config_over["output_dir"] = out
@@ -246,13 +264,7 @@ def _cmd_convergence(args) -> int:
         params, _ = model.parse_config(args.config)
     else:
         params = model.baseline_params()
-    try:
-        ms = [int(tok) for tok in args.levels.split(",") if tok.strip()]
-    except ValueError:
-        raise model.ConfigError(f"--levels: cannot parse '{args.levels}'") from None
-    if not ms:
-        raise model.ConfigError("--levels: no levels given")
-    levels = [(M, args.c / M) for M in ms]
+    levels = [(M, args.c / M) for M in _levels(args.levels)]
     for M, dt in levels:
         model.validate(params, model.SimulationConfig(M=M, dt=dt, T=args.T))
 
@@ -277,10 +289,10 @@ def _cmd_convergence(args) -> int:
 def _cmd_energy(args) -> int:
     series = read_energy_csv(Path(args.input))
     if args.window is not None:
-        try:
-            lo, hi = (float(tok) for tok in args.window.split(","))
-        except ValueError:
-            raise model.ConfigError(f"--window: cannot parse '{args.window}'") from None
+        window = _comma_list("--window", args.window)
+        if len(window) != 2:
+            raise model.ConfigError(f"--window: expected 'a,b', got '{args.window}'")
+        lo, hi = window
     else:
         lo, hi = float(series.t[-1]) / 2.0, float(series.t[-1])
     summary = energy_mod.fit_decay(series, (lo, hi))
@@ -304,10 +316,7 @@ def _cmd_eta_check(args) -> int:
     params = model.baseline_params()
     pi = np.pi
     exact = lambda x: np.sin(pi * x)
-    try:
-        ms = [int(tok) for tok in args.levels.split(",") if tok.strip()]
-    except ValueError:
-        raise model.ConfigError(f"--levels: cannot parse '{args.levels}'") from None
+    ms = _levels(args.levels)
 
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     print("case 1: delta*eta_xx = rho3*theta1 with theta1 = -(delta/rho3)*pi^2*sin(pi x)")
@@ -339,7 +348,7 @@ def main(argv=None) -> int:
                 "energy": _cmd_energy, "eta-check": _cmd_eta_check}
     try:
         return handlers[args.command](args)
-    except (model.ConfigError, model.ValidationError) as exc:
+    except (model.ConfigError, model.ValidationError, model.DegenerateWindow) as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

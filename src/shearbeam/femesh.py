@@ -22,7 +22,6 @@ the O(h + dt) error of the time stepper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -57,20 +56,6 @@ class UniformMesh:
         x = np.asarray(x, dtype=float)
         e = np.clip((x / self.h).astype(int), 0, self.M - 1)
         return e, x / self.h - e
-
-    # The three operators depend on the mesh alone; every caller shares
-    # one copy, which nobody writes to.
-    @cached_property
-    def mass(self) -> "TriDiag":
-        return build_mass(self)
-
-    @cached_property
-    def stiffness(self) -> "TriDiag":
-        return build_stiffness(self)
-
-    @cached_property
-    def gradient(self) -> "TriDiag":
-        return build_gradient(self)
 
     def __repr__(self) -> str:
         return f"UniformMesh(M={self.M}, L={self.L})"
@@ -133,10 +118,6 @@ class TriDiag:
     lower: np.ndarray
     upper: np.ndarray
 
-    @property
-    def symmetric(self) -> bool:
-        return np.array_equal(self.lower, self.upper)
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
         y = self.main * v
         y[1:] += self.lower * v[:-1]
@@ -146,16 +127,6 @@ class TriDiag:
     def quad(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
         """Bilinear form u^T A v (quadratic form when v is omitted)."""
         return float(u @ self.matvec(u if v is None else v))
-
-    def transpose(self) -> "TriDiag":
-        return TriDiag(self.main, self.upper, self.lower)
-
-    def scaled(self, c: float) -> "TriDiag":
-        return TriDiag(c * self.main, c * self.lower, c * self.upper)
-
-    def __add__(self, other: "TriDiag") -> "TriDiag":
-        return TriDiag(self.main + other.main, self.lower + other.lower,
-                       self.upper + other.upper)
 
     def toarray(self) -> np.ndarray:
         return (np.diag(self.main) + np.diag(self.lower, -1)
@@ -204,13 +175,13 @@ def interpolate(f: Callable[[np.ndarray], np.ndarray], mesh: UniformMesh) -> FeF
 
 def l2_norm(v: FeFunction) -> float:
     """Exact L2 norm of a P1 function: sqrt(c^T Mass c)."""
-    q = v.mesh.mass.quad(v.values)
+    q = build_mass(v.mesh).quad(v.values)
     return float(np.sqrt(max(q, 0.0)))
 
 
 def h1_seminorm(v: FeFunction) -> float:
     """Exact L2 norm of the derivative: sqrt(c^T Stiffness c)."""
-    q = v.mesh.stiffness.quad(v.values)
+    q = build_stiffness(v.mesh).quad(v.values)
     return float(np.sqrt(max(q, 0.0)))
 
 

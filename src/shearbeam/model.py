@@ -121,16 +121,6 @@ class InitialData:
     w1: ScalarField     # its rate (= initial temperature)
 
 
-@dataclass(frozen=True)
-class ThermalData:
-    """Temperature initial data (theta, theta_t at t=0) for the raw
-    temperature formulation; converted to `InitialData.w0/w1` through the
-    elliptic pre-solve in `shearbeam.transform`."""
-
-    theta0: ScalarField
-    theta1: ScalarField
-
-
 # Config-file key -> PhysicalParams field.  "lambda" is a Python keyword,
 # hence the one rename.
 PARAM_KEYS = {

@@ -47,17 +47,20 @@ i+1 (`_windows`).  A is also assembled once in band storage — band width
 stencil checks the residual of every solve.  Optional sources f1..f4 are
 evaluated at the new time level, matching the backward-Euler character of
 the scheme.
+
+The discrete energy is a quadratic form on the same arrays, evaluated
+with stencils of the same kind (`state_energy`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .femesh import (FeFunction, UniformMesh, interpolate, load_vector,
-                     stencils, toeplitz)
+from .femesh import FeFunction, UniformMesh, interpolate, load_vector, stencils
 from .model import (InitialData, PhysicalParams, SimulationConfig,
                     SingularSystem, SolverFailure, num_steps, validate,
                     validate_initial_data)
@@ -170,12 +173,6 @@ def initial_state(init: InitialData, mesh: UniformMesh) -> State:
                  vartheta=interpolate(init.w1, mesh), t=0.0, n=0)
 
 
-def psi_rate(prev: State, curr: State) -> FeFunction:
-    """Diagnostic rotation rate (psi^n - psi^{n-1}) / dt."""
-    return FeFunction(curr.psi.mesh, (curr.psi.values - prev.psi.values)
-                      / (curr.t - prev.t))
-
-
 def _block_stencil(blocks: dict) -> np.ndarray:
     """Stack {(row, col): (sub, main, super)} into the 12x4 stencil that
     multiplies `_windows` rows from the right."""
@@ -183,6 +180,56 @@ def _block_stencil(blocks: dict) -> np.ndarray:
     for (r, c), stencil in blocks.items():
         out[:, c, r] = stencil
     return out.reshape(12, 4)
+
+
+def _band(stencil: np.ndarray, n: int) -> np.ndarray:
+    """The block-tridiagonal matrix of a 12x4 stencil over n interior nodes
+    in LAPACK band storage, with the _KL spare rows `dgbtrf` needs on top:
+    entry (i, j) sits at row _KL + _KU + i - j of column j."""
+    ab = np.zeros((2 * _KL + _KU + 1, 4 * n))
+    blocks = stencil.reshape(3, 4, 4)
+    idx = 4 * np.arange(n)
+    # Zero blocks are skipped; the only blocks beyond the band width are zero.
+    for c, r in zip(*np.nonzero(blocks.any(axis=0))):
+        sub, main, sup = blocks[:, c, r]
+        ab[_KL + _KU + r - c, idx + c] = main
+        ab[_KL + _KU + r - c + 4, idx[:-1] + c] = sub
+        ab[_KL + _KU + r - c - 4, idx[1:] + c] = sup
+    return ab
+
+
+@functools.lru_cache(maxsize=8)
+def _energy_stencils(params: PhysicalParams, h: float):
+    """(Ex, Ed, Edx): the energy's stencils on x, on d, and from x into d's
+    rows.  Built once per (params, h) and shared, hence read-only."""
+    p = params
+    mass, stiff, grad = stencils(h)
+    out = (
+        _block_stencil({(_XI, _XI): p.rho * mass,
+                        (_PHI, _PHI): p.rho1 * mass,
+                        (_PSI, _PSI): p.b * stiff + p.K * mass,
+                        (_VTH, _VTH): p.rho3 * mass}),
+        _block_stencil({(_U, _U): p.alpha * stiff,
+                        (_DPHI, _DPHI): p.K * stiff,
+                        (_SPRING, _SPRING): p.lam * mass,
+                        (_W, _W): p.delta * stiff}),
+        # |phi_x + psi|^2 = phi.S phi + 2 phi.G^T psi + psi.M psi
+        _block_stencil({(_DPHI, _PSI): (2.0 * p.K) * grad[::-1]}),
+    )
+    for stencil in out:
+        stencil.flags.writeable = False
+    return out
+
+
+def state_energy(state: State, params: PhysicalParams) -> float:
+    """The discrete energy of `state` (`energy.discrete_energy`) as
+    1/2 [x.(Ex x) + d.(Ed d + Edx x)]: Ex and Ed are block-diagonal and
+    Edx is the one cross block of |phi_x + psi|^2."""
+    ex, ed, edx = _energy_stencils(params, state.mesh.h)
+    x, d = state._x, state._d
+    wx = _windows(x)
+    return float(0.5 * (np.vdot(x[1:-1], wx @ ex)
+                        + np.vdot(d[1:-1], _windows(d) @ ed + wx @ edx)))
 
 
 class BlockSystem:
@@ -215,7 +262,6 @@ class BlockSystem:
             (_VTH, _PHI): p.beta * grad,
             (_VTH, _VTH): (p.rho3 / dt) * mass + (p.kappa + p.delta * dt) * stiff,
         }
-        self.blocks = {rc: toeplitz(n, stencil) for rc, stencil in a_blocks.items()}
         self._A = _block_stencil(a_blocks)
         self._B = _block_stencil({
             (_XI, _XI): (p.rho / dt) * mass,
@@ -231,14 +277,7 @@ class BlockSystem:
             (_VTH, _W): -p.delta * stiff,
         })
 
-        ab = np.zeros((2 * _KL + _KU + 1, self.n_unknowns))
-        idx = 4 * np.arange(n)
-        for (r, c), (sub, main, sup) in a_blocks.items():
-            ab[_KL + _KU + r - c, idx + c] = main
-            ab[_KL + _KU + r - c + 4, idx[:-1] + c] = sub
-            ab[_KL + _KU + r - c - 4, idx[1:] + c] = sup
-
-        lu, piv, info = lapack.dgbtrf(ab, _KL, _KU)
+        lu, piv, info = lapack.dgbtrf(_band(self._A, n), _KL, _KU)
         if info > 0:
             raise SingularSystem(f"zero pivot at position {info} during factorization")
         if info < 0:
@@ -258,12 +297,14 @@ class BlockSystem:
         return x
 
     def toarray(self) -> np.ndarray:
-        """Dense copy of the step matrix (tests and small diagnostics)."""
-        n = self.n_unknowns
-        dense = np.zeros((n, n))
-        for (r, c), tri in self.blocks.items():
-            block = tri.toarray()
-            dense[r::4, c::4] = block
+        """Dense copy of the step matrix (tests and small diagnostics), read
+        from the band storage that is factorized."""
+        ab = _band(self._A, self.mesh.n_interior)
+        i, j = np.indices((self.n_unknowns, self.n_unknowns))
+        row = _KL + _KU + i - j
+        inside = (row >= _KL) & (row < ab.shape[0])
+        dense = np.zeros(i.shape)
+        dense[inside] = ab[row[inside], j[inside]]
         return dense
 
 

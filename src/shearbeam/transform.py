@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .femesh import (FeFunction, UniformMesh, build_gradient, build_mass,
-                     build_stiffness, interpolate)
+                     build_stiffness, interpolate, stencils)
 from .model import PhysicalParams, ScalarField, SingularSystem
 
 
@@ -64,19 +64,13 @@ def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> FeFunction:
            - p.kappa * stiff.matvec(theta0.values)
            - p.beta * grad.matvec(phi1.values))
 
-    system = stiff.scaled(p.delta)
-    n = mesh.n_interior
-    ab = np.zeros((3, n))
-    ab[0, 1:] = system.upper
-    ab[1, :] = system.main
-    ab[2, :-1] = system.lower
+    sub, main, sup = p.delta * stencils(mesh.h)[1]
+    ab = np.zeros((3, mesh.n_interior))
+    ab[0, 1:] = sup
+    ab[1, :] = main
+    ab[2, :-1] = sub
     try:
         eta = solve_banded((1, 1), ab, rhs)
     except np.linalg.LinAlgError as exc:  # cannot occur for delta > 0
         raise SingularSystem(f"offset solve failed: {exc}") from None
     return FeFunction(mesh, eta)
-
-
-def w_initial_data(theta0, eta):
-    """Initial data of the integrated variable: w(.,0) = eta, w_t(.,0) = theta0."""
-    return eta, theta0

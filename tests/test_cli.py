@@ -123,6 +123,27 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(cfg)]) == 4
         assert capsys.readouterr().err.startswith("SolverFailure: step 1")
 
+    @pytest.mark.parametrize("case", ["probes", "window", "row", "short-row",
+                                      "no-levels"])
+    def test_bad_input_is_one_line_exit_2(self, case, tmp_path, capsys):
+        cfg = tiny_config(tmp_path, **{"T = 0.5": "T = 0.02", "dt = 0.05": "dt = 0.01"})
+        energy_csv = tmp_path / "energy.csv"
+        if case in ("window", "probes"):
+            assert main(["simulate", "--config", str(cfg)]) == 0
+            energy_csv = tmp_path / "out" / "energy.csv"
+        elif case in ("row", "short-row"):
+            energy_csv.write_text("n,t,E,logE,negLogEOverT\n0,0,1,0,\n"
+                                  + ("1,abc\n" if case == "row" else "1\n"))
+        argv = {"probes": ["simulate", "--config", str(cfg), "--probes", "abc"],
+                "window": ["energy", "--input", str(energy_csv), "--window", "5,10"],
+                "row": ["energy", "--input", str(energy_csv)],
+                "short-row": ["energy", "--input", str(energy_csv)],
+                "no-levels": ["eta-check", "--levels", ""]}[case]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError:") and err.count("\n") == 1
+
     def test_help_exits_zero_and_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["--help"])

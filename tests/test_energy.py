@@ -5,9 +5,12 @@ from numpy.testing import assert_allclose
 
 from shearbeam.energy import (EnergySeries, check_monotone, discrete_energy,
                               fit_decay, neg_log_over_t)
-from shearbeam.femesh import FeFunction, UniformMesh
-from shearbeam.model import DegenerateWindow, baseline_params, sine_initial_data
-from shearbeam.stepper import State, initial_state
+from shearbeam.femesh import (FeFunction, UniformMesh, build_gradient, build_mass,
+                              build_stiffness, load_vector)
+from shearbeam.mms import initial_data, reference_case
+from shearbeam.model import (DegenerateWindow, PhysicalParams, SimulationConfig,
+                             baseline_params, sine_initial_data)
+from shearbeam.stepper import State, initial_state, run
 
 PARAMS = baseline_params()
 
@@ -53,6 +56,12 @@ class TestDiscreteEnergy:
             devs.append(abs(discrete_energy(state, mesh, PARAMS) - E0_CONTINUOUS))
         assert devs[0] / devs[1] == pytest.approx(4.0, rel=0.2)
 
+    def test_state_on_another_mesh_rejected(self):
+        state = zero_state(UniformMesh(10, 1.0))
+        for other in (UniformMesh(20, 1.0), UniformMesh(10, 2.0)):
+            with pytest.raises(ValueError):
+                discrete_energy(state, other, PARAMS)
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2 ** 31), c=st.floats(0.1, 10.0))
     def test_quadratic_scaling(self, seed, c):
@@ -67,28 +76,95 @@ class TestDiscreteEnergy:
         assert e1 > 0.0  # positive definite on a nonzero state
 
 
-def test_energy_bits_match_freshly_built_operators():
-    # The reference rebuilds the three matrices per call; reusing the
-    # mesh's operators must not change a bit.
-    from shearbeam.femesh import build_gradient, build_mass, build_stiffness
+FIELDS = ("xi", "Phi", "psi", "vartheta", "u", "phi", "w")
+
+
+def fields(state):
+    return {name: getattr(state, name).values for name in FIELDS}
+
+
+def reference_energy(f, mesh, p):
+    """The energy formula term by term with femesh's TriDiag matrices,
+    independent of the stepper's stencils; f maps FIELDS to nodal values."""
+    mass, stiff, grad = build_mass(mesh), build_stiffness(mesh), build_gradient(mesh)
+    u, phi, psi = f["u"], f["phi"], f["psi"]
+    # |phi_x + psi|^2 = phi^T S phi + 2 psi^T G phi + psi^T M psi
+    shear = stiff.quad(phi) + 2.0 * grad.quad(psi, phi) + mass.quad(psi)
+    return 0.5 * (p.rho * mass.quad(f["xi"]) + p.alpha * stiff.quad(u)
+                  + p.lam * mass.quad(phi - u) + p.rho1 * mass.quad(f["Phi"])
+                  + p.K * shear + p.b * stiff.quad(psi)
+                  + p.rho3 * mass.quad(f["vartheta"])
+                  + p.delta * stiff.quad(f["w"]))
+
+
+def test_energy_matches_tridiag_reference():
+    # Same form, other summation order: equal up to rounding.
     mesh = UniformMesh(17, 1.0)
     rng = np.random.default_rng(5)
     f = lambda: FeFunction(mesh, rng.normal(size=mesh.n_interior))
     state = State(u=f(), phi=f(), psi=f(), w=f(), xi=f(), Phi=f(),
                   vartheta=f(), t=0.0, n=0)
-    p = PARAMS
-    mass, stiff, grad = build_mass(mesh), build_stiffness(mesh), build_gradient(mesh)
-    u, phi, psi, w = (state.u.values, state.phi.values,
-                      state.psi.values, state.w.values)
-    shear = stiff.quad(phi) + 2.0 * float(phi @ grad.transpose().matvec(psi)) \
-        + mass.quad(psi)
-    expected = 0.5 * (p.rho * mass.quad(state.xi.values) + p.alpha * stiff.quad(u)
-                      + p.lam * mass.quad(phi - u) + p.rho1 * mass.quad(state.Phi.values)
-                      + p.K * shear + p.b * stiff.quad(psi)
-                      + p.rho3 * mass.quad(state.vartheta.values)
-                      + p.delta * stiff.quad(w))
+    expected = reference_energy(fields(state), mesh, PARAMS)
     for _ in range(2):
-        assert discrete_energy(state, mesh, PARAMS) == expected
+        assert discrete_energy(state, mesh, PARAMS) == \
+            pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def worst_budget_residual(params, config, init, sources=None):
+    """Largest |E^n - E^{n-1} - budget^n| / E^{n-1} over a run, where
+
+        budget^n = -dt(mu|xi^n|^2 + gamma|Phi^n|^2 + kappa|vartheta^n_x|^2)
+                   - E(state^n - state^{n-1}) + W^n,
+        W^n = dt[(f1, xi^n) + (f2, Phi^n) + (f4, vartheta^n)]
+              + (f3, psi^n - psi^{n-1}),
+
+    the exact energy identity of the backward-Euler step; E(state^n -
+    state^{n-1}) is its numerical dissipation.  The budget is computed
+    with the TriDiag matrices, the energies with `discrete_energy`.
+    """
+    states = []
+    run(params, config, init, sources=sources, observers=(states.append,))
+    mesh, p, dt = states[0].mesh, params, config.dt
+    mass, stiff = build_mass(mesh), build_stiffness(mesh)
+    worst = 0.0
+    for prev, curr in zip(states, states[1:]):
+        a, b = fields(prev), fields(curr)
+        damping = dt * (p.mu * mass.quad(b["xi"]) + p.gamma * mass.quad(b["Phi"])
+                        + p.kappa * stiff.quad(b["vartheta"]))
+        numerical = reference_energy({k: b[k] - a[k] for k in FIELDS}, mesh, p)
+        work = 0.0
+        if sources is not None:
+            f1, f2, f3, f4 = (load_vector(f, curr.t, mesh) for f in
+                              (sources.f1, sources.f2, sources.f3, sources.f4))
+            work = (dt * (f1 @ b["xi"] + f2 @ b["Phi"] + f4 @ b["vartheta"])
+                    + f3 @ (b["psi"] - a["psi"]))
+        e_prev = discrete_energy(prev, mesh, p)
+        change = discrete_energy(curr, mesh, p) - e_prev
+        worst = max(worst, abs(change - (work - damping - numerical)) / e_prev)
+    return worst
+
+
+class TestEnergyIdentity:
+    def test_baseline(self):
+        config = SimulationConfig(M=50, dt=0.01, T=0.5)
+        assert worst_budget_residual(PARAMS, config, sine_initial_data(1.0)) <= 1e-12
+
+    @settings(max_examples=10, deadline=None)
+    @given(logs=st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                         min_size=12, max_size=12),
+           halve=st.booleans())
+    def test_random_positive_parameters(self, logs, halve):
+        params = PhysicalParams(*(10.0 ** np.array(logs)), L=1.0)
+        dt = 1.0 / 25 / (2 if halve else 1)
+        config = SimulationConfig(M=25, dt=dt, T=30 * dt)
+        assert worst_budget_residual(
+            params, config, sine_initial_data(params.L)) <= 1e-12
+
+    def test_manufactured_sources(self):
+        case = reference_case(PARAMS)
+        config = SimulationConfig(M=40, dt=1e-3, T=0.1)
+        assert worst_budget_residual(PARAMS, config, initial_data(case),
+                                     sources=case) <= 1e-12
 
 
 class TestCheckMonotone:

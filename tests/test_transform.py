@@ -1,9 +1,9 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from shearbeam.femesh import UniformMesh, interpolate, l2_error, l2_norm
+from shearbeam.femesh import UniformMesh, l2_error, l2_norm
 from shearbeam.model import baseline_params
-from shearbeam.transform import EtaProblem, solve_eta, w_initial_data
+from shearbeam.transform import EtaProblem, solve_eta
 
 PI = np.pi
 PARAMS = baseline_params()
@@ -81,23 +81,3 @@ class TestSolveEta:
         c = PARAMS.beta / (PARAMS.delta * PI)
         exact = lambda x: c * (1.0 - np.cos(PI * x) - 2.0 * x)
         assert l2_error(eta, exact) < 5e-4
-
-
-class TestWInitialData:
-    def test_zero_pair(self):
-        w0, w1 = w_initial_data(zero, zero)
-        assert w0 is zero and w1 is zero
-
-    def test_reads_off_definition(self):
-        mesh = UniformMesh(20, 1.0)
-        theta0 = interpolate(sin_pix, mesh)
-        eta = solve_eta(EtaProblem(zero, zero, zero, PARAMS), mesh)
-        w0, w1 = w_initial_data(theta0, eta)
-        assert np.all(w0.values == 0.0)
-        assert_allclose(w1.values, theta0.values)
-
-    def test_composition_with_sin_case(self):
-        mesh = UniformMesh(80, 1.0)
-        eta = solve_eta(sin_case_problem(), mesh)
-        w0, w1 = w_initial_data(zero, eta)
-        assert l2_error(w0, sin_pix) < 2e-4
