@@ -64,12 +64,12 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 
 def write_energy_csv(path: Path, recorder: energy_mod.EnergyRecorder) -> None:
-    rows = []
-    for n, t, E in zip(recorder.steps, recorder.times, recorder.energies):
-        logE = np.log(E) if E > 0 else -np.inf
-        nlt = -logE / t if t > 0 else np.nan
-        rows.append((n, t, E, logE, nlt))
-    write_csv(path, "n,t,E,logE,negLogEOverT", rows)
+    series = recorder.series()
+    with np.errstate(divide="ignore"):
+        logE = np.log(np.maximum(series.E, 0.0))  # -inf where E <= 0
+    write_csv(path, "n,t,E,logE,negLogEOverT",
+              zip(recorder.steps, recorder.times, recorder.energies,
+                  logE.tolist(), energy_mod.neg_log_over_t(series).tolist()))
 
 
 def write_probe_csv(path: Path, recorder: stepper.ProbeRecorder, x: float) -> None:
@@ -135,8 +135,15 @@ _OVERRIDE_FLOAT = ("rho", "alpha", "lambda", "mu", "rho1", "K", "gamma",
                    "beta", "b", "rho3", "delta", "kappa", "L", "dt", "T")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigError, not a usage exit."""
+
+    def error(self, message):
+        raise model.ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shearbeam",
         description="Implicit P1 finite-element simulator for a thermally "
                     "damped shear beam with suspenders.")
@@ -342,11 +349,10 @@ def _cmd_eta_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {"simulate": _cmd_simulate, "convergence": _cmd_convergence,
                 "energy": _cmd_energy, "eta-check": _cmd_eta_check}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (model.ConfigError, model.ValidationError, model.DegenerateWindow) as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)

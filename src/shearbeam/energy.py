@@ -85,10 +85,10 @@ def check_monotone(series: EnergySeries, tol_rel: float) -> list[int]:
 
 
 def neg_log_over_t(series: EnergySeries) -> np.ndarray:
-    """The series -log(E^n)/t_n (NaN where t_n = 0)."""
+    """The series -log(E^n)/t_n (NaN where t_n = 0, +inf where E^n <= 0)."""
     t = np.asarray(series.t, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = -np.log(series.E) / t
+        out = -np.log(np.maximum(series.E, 0.0)) / t
     out[t == 0.0] = np.nan
     return out
 

@@ -27,29 +27,24 @@ the beta-coupling blocks exact transposes-up-to-sign of each other, which
 is what makes the discrete energy nonincreasing.
 
 The step is linear with constant coefficients on a uniform mesh, so every
-operator it uses is block-tridiagonal Toeplitz with 4x4 blocks: the step
-matrix A; B, which maps the previous unknowns x = (xi, Phi, psi, vartheta)
-to the right-hand side; and C, which maps the previous displacements
-d = (u, phi, phi - u, w) to it.  The suspender term is thus still formed
-from the difference phi - u, which `d` keeps in the slot psi leaves free.
-A state is held node-major, as two (M+1, 4) arrays x and d over all mesh
-nodes whose first and last rows (the clamped ends) stay zero; the interior
-rows, flattened, are the solve ordering (xi_i, Phi_i, psi_i, vartheta_i).
+operator it uses is block-tridiagonal Toeplitz.  A state is one node-major
+(M+1, 8) array s over all mesh nodes with columns (xi, Phi, psi, vartheta,
+u, phi, phi - u, w) and zero first and last rows (the clamped ends).  The
+first four columns are the unknowns; their interior rows, flattened, are
+the solve ordering.  The suspender term is formed from the stored phi - u.
 One step is
 
-    rhs = B x + C d + loads,    A x_new = rhs,    d_new = d + dt*x_new.
+    rhs = R s + loads,    A x_new = rhs,    (u, phi, w) += dt*(xi, Phi, vartheta)_new.
 
-Each operator is stored as one 12x4 stencil, the transposed sub-, main-
-and super-diagonal blocks stacked, and applied as a single product with
-the (M-1, 12) view whose row for interior node i holds nodes i-1, i and
-i+1 (`_windows`).  A is also assembled once in band storage — band width
-6 on either side — and LU-factorized once per (params, mesh, dt); its
-stencil checks the residual of every solve.  Optional sources f1..f4 are
-evaluated at the new time level, matching the backward-Euler character of
-the scheme.
-
-The discrete energy is a quadratic form on the same arrays, evaluated
-with stencils of the same kind (`state_energy`).
+Each operator is stored as one stencil, the transposed sub-, main- and
+super-diagonal blocks stacked (24x4 for R, 12x4 for A), and applied as a
+single product with the view whose row for interior node i holds nodes
+i-1, i and i+1 (`_windows`).  A is also assembled once in band storage —
+band width 6 on either side — and LU-factorized once per (params, mesh,
+dt); its stencil checks the residual of every solve.  Optional sources
+f1..f4 are evaluated at the new time level, matching the backward-Euler
+character of the scheme.  The discrete energy is the quadratic form
+1/2 s.(E s) with one 24x8 stencil E (`state_energy`).
 """
 
 from __future__ import annotations
@@ -62,17 +57,20 @@ from scipy.linalg import lapack
 
 from .femesh import FeFunction, UniformMesh, interpolate, load_vector, stencils
 from .model import (InitialData, PhysicalParams, SimulationConfig,
-                    SingularSystem, SolverFailure, num_steps, validate,
-                    validate_initial_data)
+                    SingularSystem, SolverFailure, ValidationError, num_steps,
+                    validate, validate_initial_data)
 
 # Band widths of the interleaved ordering: the farthest coupling is
 # vartheta_i <-> Phi_{i +/- 1}, six positions away.
 _KL = _KU = 6
 
-# Component offsets within a node's group of four unknowns (columns of x),
-# and the columns of the displacement array d.
-_XI, _PHI, _PSI, _VTH = 0, 1, 2, 3
-_U, _DPHI, _SPRING, _W = 0, 1, 2, 3
+# Columns of a state's array: the four unknowns of the step, then the
+# displacements and the suspender stretch.
+_XI, _PHI, _PSI, _VTH, _U, _DPHI, _SPRING, _W = range(8)
+# The (u, phi, psi, w) columns the recorders write out.
+_OUTPUT = (_U, _DPHI, _PSI, _W)
+# Keeps the displacement columns of a state and zeroes the rest.
+_DISPLACEMENTS = np.diag([0.0] * 4 + [1.0] * 4)
 
 # Relative linear-solve residual accepted by `advance`.
 RESIDUAL_TOL = 1e-10
@@ -81,15 +79,8 @@ RESIDUAL_TOL = 1e-10
 _LOAD_BATCH_BYTES = 1 << 17
 
 
-def _padded(*fields: FeFunction) -> np.ndarray:
-    """Node-major (M+1, k) array of k fields, zero in the two end rows."""
-    out = np.zeros((fields[0].mesh.M + 1, len(fields)))
-    out[1:-1] = np.column_stack([f.values for f in fields])
-    return out
-
-
 def _windows(v: np.ndarray) -> np.ndarray:
-    """(M-1, 12) view of a contiguous (M+1, 4) node-major array whose row i
+    """(M-1, 3k) view of a contiguous (M+1, k) node-major array whose row i
     holds the rows i, i+1 and i+2 of v: interior node i+1 and its neighbours."""
     return np.ndarray((v.shape[0] - 2, 3 * v.shape[1]), v.dtype, v, 0, v.strides)
 
@@ -97,89 +88,83 @@ def _windows(v: np.ndarray) -> np.ndarray:
 class State:
     """The seven discrete fields at one time level.
 
-    Stored node-major over all M+1 nodes: x[:, k] holds (xi, Phi, psi,
-    vartheta) and d[:, k] holds (u, phi, phi - u, w), with zero end rows.
-    The fields are `FeFunction` views of those arrays, built on access.
-    The arrays are never written after construction.
+    Stored as one node-major (M+1, 8) array over all M+1 nodes with columns
+    (xi, Phi, psi, vartheta, u, phi, phi - u, w) and zero end rows.  The
+    fields are `FeFunction` views of its columns, built on access.  The
+    array is never written after construction.
     """
 
     def __init__(self, u: FeFunction, phi: FeFunction, psi: FeFunction,
                  w: FeFunction, xi: FeFunction, Phi: FeFunction,
                  vartheta: FeFunction, t: float, n: int):
-        self._init(u.mesh, _padded(xi, Phi, psi, vartheta),
-                   _padded(u, phi, phi - u, w), t, n)
+        self.mesh, self.t, self.n = u.mesh, t, n
+        self._s = np.zeros((u.mesh.M + 1, 8))
+        self._s[1:-1] = np.column_stack(
+            [f.values for f in (xi, Phi, psi, vartheta, u, phi, phi - u, w)])
 
     @classmethod
-    def _from_arrays(cls, mesh: UniformMesh, x: np.ndarray, d: np.ndarray,
-                     t: float, n: int) -> "State":
+    def _from_array(cls, mesh: UniformMesh, s: np.ndarray, t: float,
+                    n: int) -> "State":
         state = cls.__new__(cls)
-        state._init(mesh, x, d, t, n)
+        state.mesh, state._s, state.t, state.n = mesh, s, t, n
         return state
-
-    def _init(self, mesh, x, d, t, n):
-        self.mesh, self._x, self._d, self.t, self.n = mesh, x, d, t, n
 
     @property
     def u(self) -> FeFunction:
-        return FeFunction(self.mesh, self._d[1:-1, _U])
+        return FeFunction(self.mesh, self._s[1:-1, _U])
 
     @property
     def phi(self) -> FeFunction:
-        return FeFunction(self.mesh, self._d[1:-1, _DPHI])
+        return FeFunction(self.mesh, self._s[1:-1, _DPHI])
 
     @property
     def psi(self) -> FeFunction:
-        return FeFunction(self.mesh, self._x[1:-1, _PSI])
+        return FeFunction(self.mesh, self._s[1:-1, _PSI])
 
     @property
     def w(self) -> FeFunction:
-        return FeFunction(self.mesh, self._d[1:-1, _W])
+        return FeFunction(self.mesh, self._s[1:-1, _W])
 
     @property
     def xi(self) -> FeFunction:
         """u_t"""
-        return FeFunction(self.mesh, self._x[1:-1, _XI])
+        return FeFunction(self.mesh, self._s[1:-1, _XI])
 
     @property
     def Phi(self) -> FeFunction:
         """phi_t"""
-        return FeFunction(self.mesh, self._x[1:-1, _PHI])
+        return FeFunction(self.mesh, self._s[1:-1, _PHI])
 
     @property
     def vartheta(self) -> FeFunction:
-        """w_t"""
-        return FeFunction(self.mesh, self._x[1:-1, _VTH])
-
-    @property
-    def theta(self) -> FeFunction:
-        """Temperature, recovered from the integrated variable as w_t."""
-        return self.vartheta
-
-    def _node(self, j: int) -> np.ndarray:
-        """(u, phi, psi, w) at mesh node j."""
-        row = self._d[j].copy()
-        row[_SPRING] = self._x[j, _PSI]
-        return row
+        """w_t, the temperature"""
+        return FeFunction(self.mesh, self._s[1:-1, _VTH])
 
     def __repr__(self) -> str:
         return f"State(mesh={self.mesh!r}, t={self.t!r}, n={self.n!r})"
 
 
 def initial_state(init: InitialData, mesh: UniformMesh) -> State:
-    """Nodal interpolation of the initial fields (t = 0, step 0)."""
-    return State(u=interpolate(init.u0, mesh), phi=interpolate(init.phi0, mesh),
-                 psi=interpolate(init.psi0, mesh), w=interpolate(init.w0, mesh),
-                 xi=interpolate(init.u1, mesh), Phi=interpolate(init.phi1, mesh),
-                 vartheta=interpolate(init.w1, mesh), t=0.0, n=0)
+    """Nodal interpolation of the initial fields (t = 0, step 0).  Raises
+    ValidationError naming the initial function when a sample is not
+    finite."""
+    names = ("u0", "phi0", "psi0", "w0", "u1", "phi1", "w1")
+    fields = [interpolate(getattr(init, name), mesh) for name in names]
+    for name, f in zip(names, fields):
+        if not np.isfinite(f.values).all():
+            raise ValidationError(
+                f"initial function {name} is not finite at every interior node")
+    return State(*fields, t=0.0, n=0)
 
 
-def _block_stencil(blocks: dict) -> np.ndarray:
-    """Stack {(row, col): (sub, main, super)} into the 12x4 stencil that
-    multiplies `_windows` rows from the right."""
-    out = np.zeros((3, 4, 4))
+def _block_stencil(blocks: dict, width: int = 4, rows: int = 4) -> np.ndarray:
+    """Stack {(row, col): (sub, main, super)} into the (3*width, rows)
+    stencil that multiplies the `_windows` rows of a width-column array
+    from the right."""
+    out = np.zeros((3, width, rows))
     for (r, c), stencil in blocks.items():
         out[:, c, r] = stencil
-    return out.reshape(12, 4)
+    return out.reshape(3 * width, rows)
 
 
 def _band(stencil: np.ndarray, n: int) -> np.ndarray:
@@ -199,37 +184,33 @@ def _band(stencil: np.ndarray, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _energy_stencils(params: PhysicalParams, h: float):
-    """(Ex, Ed, Edx): the energy's stencils on x, on d, and from x into d's
-    rows.  Built once per (params, h) and shared, hence read-only."""
+def _energy_stencil(params: PhysicalParams, h: float) -> np.ndarray:
+    """The 24x8 stencil E of the energy 1/2 s.(E s): block-diagonal, plus
+    the one cross block of |phi_x + psi|^2 from psi into the phi row.
+    Built once per (params, h) and shared, hence read-only."""
     p = params
     mass, stiff, grad = stencils(h)
-    out = (
-        _block_stencil({(_XI, _XI): p.rho * mass,
-                        (_PHI, _PHI): p.rho1 * mass,
-                        (_PSI, _PSI): p.b * stiff + p.K * mass,
-                        (_VTH, _VTH): p.rho3 * mass}),
-        _block_stencil({(_U, _U): p.alpha * stiff,
-                        (_DPHI, _DPHI): p.K * stiff,
-                        (_SPRING, _SPRING): p.lam * mass,
-                        (_W, _W): p.delta * stiff}),
-        # |phi_x + psi|^2 = phi.S phi + 2 phi.G^T psi + psi.M psi
-        _block_stencil({(_DPHI, _PSI): (2.0 * p.K) * grad[::-1]}),
-    )
-    for stencil in out:
-        stencil.flags.writeable = False
+    out = _block_stencil({(_XI, _XI): p.rho * mass,
+                          (_PHI, _PHI): p.rho1 * mass,
+                          (_PSI, _PSI): p.b * stiff + p.K * mass,
+                          (_VTH, _VTH): p.rho3 * mass,
+                          (_U, _U): p.alpha * stiff,
+                          (_DPHI, _DPHI): p.K * stiff,
+                          (_SPRING, _SPRING): p.lam * mass,
+                          (_W, _W): p.delta * stiff,
+                          # |phi_x + psi|^2 = phi.S phi + 2 phi.G^T psi + psi.M psi
+                          (_DPHI, _PSI): (2.0 * p.K) * grad[::-1]},
+                         width=8, rows=8)
+    out.flags.writeable = False
     return out
 
 
 def state_energy(state: State, params: PhysicalParams) -> float:
     """The discrete energy of `state` (`energy.discrete_energy`) as
-    1/2 [x.(Ex x) + d.(Ed d + Edx x)]: Ex and Ed are block-diagonal and
-    Edx is the one cross block of |phi_x + psi|^2."""
-    ex, ed, edx = _energy_stencils(params, state.mesh.h)
-    x, d = state._x, state._d
-    wx = _windows(x)
-    return float(0.5 * (np.vdot(x[1:-1], wx @ ex)
-                        + np.vdot(d[1:-1], _windows(d) @ ed + wx @ edx)))
+    1/2 s.(E s)."""
+    s = state._s
+    es = _windows(s) @ _energy_stencil(params, state.mesh.h)
+    return float(0.5 * np.vdot(s[1:-1], es))
 
 
 class BlockSystem:
@@ -263,19 +244,19 @@ class BlockSystem:
             (_VTH, _VTH): (p.rho3 / dt) * mass + (p.kappa + p.delta * dt) * stiff,
         }
         self._A = _block_stencil(a_blocks)
-        self._B = _block_stencil({
+        self._R = _block_stencil({
             (_XI, _XI): (p.rho / dt) * mass,
-            (_PHI, _PHI): (p.rho1 / dt) * mass,
-            (_VTH, _VTH): (p.rho3 / dt) * mass,
-        })
-        self._C = _block_stencil({
             (_XI, _U): -p.alpha * stiff,
             (_XI, _SPRING): p.lam * mass,
+            (_PHI, _PHI): (p.rho1 / dt) * mass,
             (_PHI, _DPHI): -p.K * stiff,
             (_PHI, _SPRING): -p.lam * mass,
             (_PSI, _DPHI): -p.K * grad,
+            (_VTH, _VTH): (p.rho3 / dt) * mass,
             (_VTH, _W): -p.delta * stiff,
-        })
+        }, width=8)
+        # Maps the new unknowns x to (x, dt*x) in the state's columns.
+        self._update = np.hstack([np.eye(4), self.dt * np.eye(4)])
 
         lu, piv, info = lapack.dgbtrf(_band(self._A, n), _KL, _KU)
         if info > 0:
@@ -315,10 +296,10 @@ def assemble(params: PhysicalParams, mesh: UniformMesh, dt: float) -> BlockSyste
     return BlockSystem(params, mesh, dt)
 
 
-def _step(system: BlockSystem, x: np.ndarray, d: np.ndarray,
-          loads: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """The step on node-major arrays: (x, d) at the old level to new ones."""
-    rhs = _windows(x) @ system._B + _windows(d) @ system._C
+def _step(system: BlockSystem, s: np.ndarray,
+          loads: np.ndarray | None) -> np.ndarray:
+    """The step on node-major state arrays: s at the old level to the new one."""
+    rhs = _windows(s) @ system._R
     if loads is not None:
         rhs += loads
     rhs = rhs.ravel()
@@ -335,11 +316,13 @@ def _step(system: BlockSystem, x: np.ndarray, d: np.ndarray,
             f"linear solve residual {residual:.3e} exceeds "
             f"{RESIDUAL_TOL:.1e} * |rhs| = {RESIDUAL_TOL * rhs_norm:.3e}")
 
-    x_new = np.zeros_like(x)
+    x_new = np.zeros((s.shape[0], 4))
     x_new[1:-1] = sol.reshape(-1, 4)
-    d_new = d + system.dt * x_new
-    d_new[:, _SPRING] = d_new[:, _DPHI] - d_new[:, _U]
-    return x_new, d_new
+    # (x_new, d + dt*x_new) with d = s[:, 4:], bit for bit: each entry of
+    # either product has one nonzero term.  Half the cost of column slices.
+    s_new = x_new @ system._update + s @ _DISPLACEMENTS
+    s_new[:, _SPRING] = s_new[:, _DPHI] - s_new[:, _U]
+    return s_new
 
 
 def advance(system: BlockSystem, state: State, loads=None) -> State:
@@ -347,9 +330,8 @@ def advance(system: BlockSystem, state: State, loads=None) -> State:
     level: the four vectors f1..f4, or a node-major (M-1, 4) array."""
     if loads is not None and not isinstance(loads, np.ndarray):
         loads = np.stack(loads, axis=1)
-    x, d = _step(system, state._x, state._d, loads)
-    return State._from_arrays(system.mesh, x, d, (state.n + 1) * system.dt,
-                              state.n + 1)
+    return State._from_array(system.mesh, _step(system, state._s, loads),
+                             (state.n + 1) * system.dt, state.n + 1)
 
 
 def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
@@ -414,9 +396,11 @@ class ProbeRecorder:
             self._cells = [(int(e), float(s)) for e, s in
                            map(state.mesh.locate, self.points)]
         self.times.append(state.t)
-        for x, (e, s) in zip(self.points, self._cells):
-            vals = state._node(e) * (1.0 - s) + state._node(e + 1) * s
-            self.samples[x].append(tuple(vals.tolist()))
+        s = state._s
+        for x, (e, frac) in zip(self.points, self._cells):
+            lo, hi = s[e].tolist(), s[e + 1].tolist()
+            self.samples[x].append(
+                tuple(lo[k] * (1.0 - frac) + hi[k] * frac for k in _OUTPUT))
 
     def rows(self, x: float):
         """(t, u, phi, psi, w) rows for one probe point."""
@@ -431,21 +415,21 @@ class SnapshotRecorder:
         self.stride = int(stride)
         self.n_final = n_final
         self.times: list[float] = []
-        self.fields: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        self.nodes: np.ndarray | None = None
+        # One (M+1, 4) array of (u, phi, psi, w) per snapshot.
+        self.fields: list[np.ndarray] = []
+        self.nodes: list[float] | None = None
 
     def __call__(self, state: State) -> None:
         due = state.n % self.stride == 0 or state.n == self.n_final
         if not due:
             return
         if self.nodes is None:
-            self.nodes = state.mesh.nodes.copy()
+            self.nodes = state.mesh.nodes.tolist()
         self.times.append(state.t)
-        self.fields.append((state.u.with_boundary(), state.phi.with_boundary(),
-                            state.psi.with_boundary(), state.w.with_boundary()))
+        self.fields.append(state._s[:, _OUTPUT])
 
     def rows(self):
         """(x, t, u, phi, psi, w) rows, time-major then node-major."""
-        for t, (u, phi, psi, w) in zip(self.times, self.fields):
-            for i, x in enumerate(self.nodes):
-                yield (x, t, u[i], phi[i], psi[i], w[i])
+        for t, fields in zip(self.times, self.fields):
+            for x, (u, phi, psi, w) in zip(self.nodes, fields.tolist()):
+                yield (x, t, u, phi, psi, w)

@@ -16,7 +16,7 @@ here: find eta with
                          + beta*(phi1, v_x)          for all test v.
 
 During a run the temperature itself never appears; it is recovered from
-the state as theta = w_t (the `State.theta` accessor).
+the state as theta = w_t (`State.vartheta`).
 """
 
 from __future__ import annotations

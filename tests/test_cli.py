@@ -6,6 +6,7 @@ import pytest
 
 from shearbeam import cli, stepper
 from shearbeam.cli import _fmt, main
+from shearbeam.energy import EnergyRecorder
 
 REPO = Path(__file__).resolve().parent.parent
 BASELINE_CFG = REPO / "configs" / "baseline.cfg"
@@ -56,6 +57,14 @@ class TestSimulate:
         assert len(snaps) == 1 + 11 * 3  # snapshots at n = 0, 5, 10
 
         assert "completed 10 steps" in capsys.readouterr().out
+
+    def test_energy_csv_nonpositive_energy(self, tmp_path):
+        rec = EnergyRecorder(None, None)  # filled by hand, never called
+        rec.steps, rec.times = [0, 1, 2], [0.0, 1.0, 2.0]
+        rec.energies = [1.0, 0.0, -1.0]
+        cli.write_energy_csv(tmp_path / "energy.csv", rec)
+        assert (tmp_path / "energy.csv").read_text().splitlines()[1:] == \
+            ["0,0,1,0,nan", "1,1,0,-inf,inf", "2,2,-1,-inf,inf"]
 
     def test_byte_determinism(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -124,7 +133,8 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("SolverFailure: step 1")
 
     @pytest.mark.parametrize("case", ["probes", "window", "row", "short-row",
-                                      "no-levels"])
+                                      "no-levels", "M", "dt", "snapshot-stride",
+                                      "T"])
     def test_bad_input_is_one_line_exit_2(self, case, tmp_path, capsys):
         cfg = tiny_config(tmp_path, **{"T = 0.5": "T = 0.02", "dt = 0.05": "dt = 0.01"})
         energy_csv = tmp_path / "energy.csv"
@@ -138,7 +148,12 @@ class TestErrorPaths:
                 "window": ["energy", "--input", str(energy_csv), "--window", "5,10"],
                 "row": ["energy", "--input", str(energy_csv)],
                 "short-row": ["energy", "--input", str(energy_csv)],
-                "no-levels": ["eta-check", "--levels", ""]}[case]
+                "no-levels": ["eta-check", "--levels", ""],
+                "M": ["simulate", "--config", str(cfg), "--M", "abc"],
+                "dt": ["simulate", "--config", str(cfg), "--dt", "x"],
+                "snapshot-stride": ["simulate", "--config", str(cfg),
+                                    "--snapshot-stride", "1.5"],
+                "T": ["convergence", "--T", "abc"]}[case]
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -226,8 +226,8 @@ class TestFitDecay:
 
 class TestNegLogOverT:
     def test_values_and_nan_at_origin(self):
-        t = np.array([0.0, 1.0, 2.0])
-        E = np.array([1.0, np.exp(-3.0), np.exp(-8.0)])
+        t = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        E = np.array([1.0, np.exp(-3.0), np.exp(-8.0), 0.0, -1.0])
         out = neg_log_over_t(EnergySeries(t, E))
         assert np.isnan(out[0])
-        assert_allclose(out[1:], [3.0, 4.0])
+        assert_allclose(out[1:], [3.0, 4.0, np.inf, np.inf])

@@ -10,7 +10,8 @@ from shearbeam.energy import EnergyRecorder, check_monotone, discrete_energy
 from shearbeam.femesh import FeFunction, UniformMesh, interpolate, load_vector
 from shearbeam.mms import error_norm, initial_data, reference_case, run_level
 from shearbeam.model import (PhysicalParams, SimulationConfig, SingularSystem,
-                             SolverFailure, baseline_params, sine_initial_data)
+                             SolverFailure, ValidationError, baseline_params,
+                             sine_initial_data)
 from shearbeam.stepper import (ProbeRecorder, SnapshotRecorder, advance,
                                assemble, initial_state, run)
 
@@ -163,6 +164,17 @@ class TestAdvance:
             for k in names:
                 assert_array_equal(getattr(state, k).values, snap[k])
 
+    def test_nan_state_fails_the_step(self):
+        mesh = UniformMesh(6, 1.0)
+        system = assemble(PARAMS, mesh, 0.01)
+        f = lambda: FeFunction(mesh, np.zeros(mesh.n_interior))
+        bad = FeFunction(mesh, np.zeros(mesh.n_interior))
+        bad.values[2] = np.nan
+        state = stepper.State(u=f(), phi=f(), psi=f(), w=bad, xi=f(), Phi=f(),
+                              vartheta=f(), t=0.0, n=0)
+        with pytest.raises(SolverFailure, match="residual"):
+            advance(system, state)
+
     def test_residual_guard_raises(self, monkeypatch):
         mesh = UniformMesh(6, 1.0)
         system = assemble(PARAMS, mesh, 0.01)
@@ -216,6 +228,21 @@ class TestRun:
         x0, t0, *fields = rows[0]
         assert (x0, t0) == (0.0, 0.0) and fields[0] == 0.0
 
+    def test_snapshot_rows_match_field_views(self):
+        mesh = UniformMesh(7, 1.0)
+        system = assemble(PARAMS, mesh, 0.01)
+        snap = SnapshotRecorder(stride=1)
+        state = random_state(mesh, np.random.default_rng(5))
+        expected = []
+        for _ in range(3):
+            snap(state)
+            fields = [getattr(state, k).with_boundary()
+                      for k in ("u", "phi", "psi", "w")]
+            expected += [(x, state.t, *(f[i] for f in fields))
+                         for i, x in enumerate(mesh.nodes)]
+            state = advance(system, state)
+        assert list(snap.rows()) == expected
+
     def test_failure_reports_step_index(self, monkeypatch):
         config = SimulationConfig(M=10, dt=0.1, T=1.0)
         monkeypatch.setattr(stepper, "RESIDUAL_TOL", -1.0)
@@ -223,11 +250,12 @@ class TestRun:
             run(PARAMS, config, sine_initial_data(1.0))
 
     def test_nan_state_fails_naming_the_step(self):
-        # interior NaN passes the endpoint check on the initial data
+        # an interior NaN passes the endpoint check on the initial data and
+        # is rejected when the initial state is interpolated, before step 1
         nan_inside = lambda x: np.where((x > 0.0) & (x < 1.0), np.nan, 0.0)
         init = dataclasses.replace(sine_initial_data(1.0), u0=nan_inside)
         config = SimulationConfig(M=10, dt=0.1, T=1.0)
-        with pytest.raises(SolverFailure, match=r"step 1 \(t = 0.1\)"):
+        with pytest.raises(ValidationError, match="initial function u0"):
             run(PARAMS, config, init)
 
     def test_nan_source_fails_naming_the_step(self):
