@@ -17,7 +17,6 @@ error, 3 I/O error, 4 solver failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import tempfile
@@ -108,6 +107,8 @@ def read_energy_csv(path: Path) -> energy_mod.EnergySeries:
             except (ValueError, IndexError):
                 raise model.ConfigError(
                     f"{path}:{ln}: bad energy row '{line.strip()}'") from None
+    if not t:
+        raise model.ConfigError(f"{path}: no data rows")
     return energy_mod.EnergySeries(np.asarray(t), np.asarray(E))
 
 
@@ -115,24 +116,12 @@ def read_energy_csv(path: Path) -> energy_mod.EnergySeries:
 # Argument parsing
 # --------------------------------------------------------------------------
 
-def _comma_list(flag: str, raw: str, convert=float) -> list:
-    """The items of a comma-separated flag value; blank items are skipped."""
-    try:
-        return [convert(tok) for tok in raw.split(",") if tok.strip()]
-    except ValueError:
-        raise model.ConfigError(f"{flag}: cannot parse '{raw}'") from None
-
-
 def _levels(raw: str) -> list[int]:
     """The element counts of a --levels value; at least one."""
-    ms = _comma_list("--levels", raw, int)
+    ms = model.comma_list("levels", raw, int)
     if not ms:
         raise model.ConfigError("--levels: no levels given")
     return ms
-
-
-_OVERRIDE_FLOAT = ("rho", "alpha", "lambda", "mu", "rho1", "K", "gamma",
-                   "beta", "b", "rho3", "delta", "kappa", "L", "dt", "T")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,18 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a simulation from a config file")
     sim.add_argument("--config", required=True, help="path to a key = value config file")
-    for key in _OVERRIDE_FLOAT:
-        dest = model.PARAM_KEYS.get(key, key)
-        sim.add_argument(f"--{key}", dest=f"ov_{dest}", type=float, default=None,
+    for key in model.CONFIG_KEYS:
+        sim.add_argument(f"--{key.replace('_', '-')}", dest=key, metavar="VALUE",
                          help=f"override config key '{key}'")
-    sim.add_argument("--M", dest="ov_M", type=int, default=None,
-                     help="override element count")
-    sim.add_argument("--probes", dest="ov_probes", default=None,
-                     help="override probe points (comma-separated x values)")
-    sim.add_argument("--snapshot-stride", dest="ov_snapshot_stride", type=int,
-                     default=None, help="override snapshot stride")
-    sim.add_argument("--output-dir", dest="ov_output_dir", default=None,
-                     help="override output directory")
     sim.add_argument("--sources", choices=["reference"], default=None,
                      help="drive the run with a built-in manufactured case "
                           "(its exact fields also supply the initial data)")
@@ -176,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--c", type=float, default=0.04, help="constant of the dt rule")
     conv.add_argument("--config", default=None,
                       help="optional config file supplying the constitutive constants")
-    conv.add_argument("--output-dir", dest="ov_output_dir", default=None)
+    conv.add_argument("--output-dir", dest="output_dir")
 
     en = sub.add_parser("energy", help="decay-rate report from an energy CSV")
     en.add_argument("--input", required=True, help="energy CSV produced by simulate")
@@ -191,35 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(args, params: model.PhysicalParams,
-                     config: model.SimulationConfig):
-    param_over = {}
-    for attr in model.PARAM_KEYS.values():
-        val = getattr(args, f"ov_{attr}", None)
-        if val is not None:
-            param_over[attr] = val
-    if param_over:
-        params = dataclasses.replace(params, **param_over)
-
-    config_over = {}
-    for attr in ("M", "dt", "T", "snapshot_stride"):
-        val = getattr(args, f"ov_{attr}", None)
-        if val is not None:
-            config_over[attr] = val
-    if getattr(args, "ov_probes", None) is not None:
-        config_over["probe_points"] = tuple(_comma_list("--probes", args.ov_probes))
-    out = _resolve_output_dir(args, config.output_dir)
-    if out != config.output_dir:
-        config_over["output_dir"] = out
-    if config_over:
-        config = dataclasses.replace(config, **config_over)
-    return params, config
-
-
-def _resolve_output_dir(args, fallback: str) -> str:
-    flag = getattr(args, "ov_output_dir", None)
-    if flag is not None:
-        return flag
+def _resolve_output_dir(args, fallback: str | None) -> str | None:
+    if args.output_dir is not None:
+        return args.output_dir
     return os.environ.get(OUTPUT_DIR_ENV, fallback)
 
 
@@ -228,8 +182,9 @@ def _resolve_output_dir(args, fallback: str) -> str:
 # --------------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    params, config = model.parse_config(args.config)
-    params, config = _apply_overrides(args, params, config)
+    overrides = {key: getattr(args, key) for key in model.CONFIG_KEYS}
+    overrides["output_dir"] = _resolve_output_dir(args, None)  # flag > env > file
+    params, config = model.parse_config(args.config, overrides)
     model.validate(params, config)
 
     if args.sources == "reference":
@@ -296,7 +251,7 @@ def _cmd_convergence(args) -> int:
 def _cmd_energy(args) -> int:
     series = read_energy_csv(Path(args.input))
     if args.window is not None:
-        window = _comma_list("--window", args.window)
+        window = model.comma_list("window", args.window)
         if len(window) != 2:
             raise model.ConfigError(f"--window: expected 'a,b', got '{args.window}'")
         lo, hi = window

@@ -50,7 +50,7 @@ class InvalidTimeStep(ValidationError):
 
 
 class InvalidProbe(ValidationError):
-    """A probe point lies outside the open interval (0, L)."""
+    """A probe point lies outside the open interval (0, L) or is repeated."""
 
 
 class ConfigError(Exception):
@@ -169,9 +169,11 @@ def validate(params: PhysicalParams,
     if config.snapshot_stride < 1:
         raise NonPositiveParameter("snapshot_stride", config.snapshot_stride)
 
-    for x in config.probe_points:
+    for i, x in enumerate(config.probe_points):
         if not (0.0 < x < params.L):
             raise InvalidProbe(f"probe point {x} outside (0, {params.L})")
+        if x in config.probe_points[:i]:
+            raise InvalidProbe(f"probe point {x} given twice")
 
     return params, config
 
@@ -210,27 +212,32 @@ def sine_initial_data(L: float = 1.0) -> InitialData:
 # Config file parsing
 # --------------------------------------------------------------------------
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse(key: str, raw: str, convert=float):
+    """One value of `key`: a number, or an integer when `convert` is int."""
     try:
-        return float(raw)
+        return convert(raw)
     except ValueError:
-        raise ConfigError(f"key '{key}': cannot parse '{raw}' as a number") from None
+        kind = "an integer" if convert is int else "a number"
+        raise ConfigError(f"key '{key}': cannot parse '{raw}' as {kind}") from None
 
 
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"key '{key}': cannot parse '{raw}' as an integer") from None
+def comma_list(key: str, raw: str, convert=float) -> list:
+    """The items of a comma-separated value of `key`; blank items are skipped."""
+    return [_parse(key, tok.strip(), convert) for tok in raw.split(",") if tok.strip()]
 
 
-def parse_config(path: str | Path) -> tuple[PhysicalParams, SimulationConfig]:
+def parse_config(path: str | Path, overrides: dict[str, str | None] | None = None
+                 ) -> tuple[PhysicalParams, SimulationConfig]:
     """Read a `key = value` configuration file.
 
     Recognized keys: rho, alpha, lambda, mu, rho1, K, gamma, beta, b, rho3,
     delta, kappa, L, M, dt, T, probes (comma-separated), snapshot_stride,
     output_dir.  Blank lines and lines starting with '#' are ignored;
-    unknown keys are errors.  The returned pair is not yet validated.
+    unknown keys are errors.  `overrides` maps keys to raw text that
+    replaces the file's value (None entries are skipped); it is applied
+    after the file has been checked, so it cannot supply a missing key,
+    and parsed exactly like the file.  The returned pair is not yet
+    validated.
     """
     path = Path(path)
     try:
@@ -258,20 +265,19 @@ def parse_config(path: str | Path) -> tuple[PhysicalParams, SimulationConfig]:
     if missing:
         raise ConfigError(f"{path}: missing keys: {', '.join(missing)}")
 
-    params = PhysicalParams(**{PARAM_KEYS[k]: _parse_float(k, values[k])
-                               for k in PARAM_KEYS})
+    for key, raw in (overrides or {}).items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown key '{key}'")
+        if raw is not None:
+            values[key] = raw
 
-    probes: tuple[float, ...] = ()
-    if values.get("probes", "").strip():
-        probes = tuple(_parse_float("probes", p)
-                       for p in values["probes"].split(",") if p.strip())
-
+    params = PhysicalParams(**{PARAM_KEYS[k]: _parse(k, values[k]) for k in PARAM_KEYS})
     config = SimulationConfig(
-        M=_parse_int("M", values["M"]),
-        dt=_parse_float("dt", values["dt"]),
-        T=_parse_float("T", values["T"]),
-        probe_points=probes,
-        snapshot_stride=_parse_int("snapshot_stride", values.get("snapshot_stride", "1")),
+        M=_parse("M", values["M"], int),
+        dt=_parse("dt", values["dt"]),
+        T=_parse("T", values["T"]),
+        probe_points=tuple(comma_list("probes", values.get("probes", ""))),
+        snapshot_stride=_parse("snapshot_stride", values.get("snapshot_stride", "1"), int),
         output_dir=values.get("output_dir", "."),
     )
     return params, config

@@ -290,9 +290,8 @@ class BlockSystem:
 
 
 def assemble(params: PhysicalParams, mesh: UniformMesh, dt: float) -> BlockSystem:
-    """Assemble and LU-factorize the step matrix for fixed (params, mesh, dt)."""
-    if dt <= 0:
-        raise SolverFailure(f"dt must be positive (got {dt})")
+    """Assemble and LU-factorize the step matrix for fixed (params, mesh, dt);
+    the inputs are those `model.validate` accepted."""
     return BlockSystem(params, mesh, dt)
 
 

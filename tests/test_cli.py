@@ -134,7 +134,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("case", ["probes", "window", "row", "short-row",
                                       "no-levels", "M", "dt", "snapshot-stride",
-                                      "T"])
+                                      "T", "dup-probes", "no-rows"])
     def test_bad_input_is_one_line_exit_2(self, case, tmp_path, capsys):
         cfg = tiny_config(tmp_path, **{"T = 0.5": "T = 0.02", "dt = 0.05": "dt = 0.01"})
         energy_csv = tmp_path / "energy.csv"
@@ -144,6 +144,8 @@ class TestErrorPaths:
         elif case in ("row", "short-row"):
             energy_csv.write_text("n,t,E,logE,negLogEOverT\n0,0,1,0,\n"
                                   + ("1,abc\n" if case == "row" else "1\n"))
+        elif case == "no-rows":
+            energy_csv.write_text("n,t,E,logE,negLogEOverT\n")
         argv = {"probes": ["simulate", "--config", str(cfg), "--probes", "abc"],
                 "window": ["energy", "--input", str(energy_csv), "--window", "5,10"],
                 "row": ["energy", "--input", str(energy_csv)],
@@ -153,7 +155,9 @@ class TestErrorPaths:
                 "dt": ["simulate", "--config", str(cfg), "--dt", "x"],
                 "snapshot-stride": ["simulate", "--config", str(cfg),
                                     "--snapshot-stride", "1.5"],
-                "T": ["convergence", "--T", "abc"]}[case]
+                "T": ["convergence", "--T", "abc"],
+                "dup-probes": ["simulate", "--config", str(cfg), "--probes", "0.6,0.6"],
+                "no-rows": ["energy", "--input", str(energy_csv)]}[case]
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -177,6 +181,7 @@ class TestErrorPaths:
                      "--L", "--M", "--dt", "--T", "--probes",
                      "--snapshot-stride", "--output-dir"):
             assert flag in out
+        assert "OV_" not in out  # metavars are not the internal dests
 
 
 class TestConvergenceCommand:

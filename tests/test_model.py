@@ -57,8 +57,9 @@ class TestValidate:
             validate(params, good_config())
 
     def test_bad_time_grid(self):
-        with pytest.raises(InvalidTimeStep):
-            validate(baseline_params(), good_config(dt=-0.1))
+        for dt in (-0.1, 0.0):
+            with pytest.raises(InvalidTimeStep):
+                validate(baseline_params(), good_config(dt=dt))
         with pytest.raises(InvalidTimeStep):
             validate(baseline_params(), good_config(T=-1.0))
         # dt > 2T rounds to zero steps
@@ -69,6 +70,12 @@ class TestValidate:
         for x in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(InvalidProbe):
                 validate(baseline_params(), good_config(probe_points=(x,)))
+
+    def test_repeated_probe_rejected(self):
+        # ProbeRecorder keys its samples by x: a repeat would interleave two
+        # appends per step into one time series.
+        with pytest.raises(InvalidProbe, match="0.6 given twice"):
+            validate(baseline_params(), good_config(probe_points=(0.6, 0.3, 0.6)))
 
     def test_snapshot_stride_positive(self):
         with pytest.raises(NonPositiveParameter, match="snapshot_stride"):
@@ -141,6 +148,36 @@ class TestParseConfig:
         cfg.write_text(text.replace("probes = 0.6", "probes = 0.25, 0.5, 0.75"))
         _, config = parse_config(cfg)
         assert config.probe_points == (0.25, 0.5, 0.75)
+
+    @pytest.mark.parametrize("key", model.CONFIG_KEYS)
+    def test_override_equals_file_line(self, key, tmp_path):
+        raw = {"M": "60", "snapshot_stride": "7", "probes": "0.25,0.75",
+               "output_dir": "elsewhere"}.get(key, "0.125")
+        lines = (REPO / "configs" / "baseline.cfg").read_text().splitlines()
+        edited = [f"{key} = {raw}" if line.partition("=")[0].strip() == key
+                  else line for line in lines]
+        assert edited != lines
+        cfg = tmp_path / "edited.cfg"
+        cfg.write_text("\n".join(edited) + "\n")
+        from_flag = parse_config(REPO / "configs" / "baseline.cfg", {key: raw})
+        assert from_flag == parse_config(cfg)
+        assert from_flag != parse_config(REPO / "configs" / "baseline.cfg")
+
+    def test_override_parsed_and_reported_like_the_file(self):
+        base = REPO / "configs" / "baseline.cfg"
+        assert parse_config(base, {"K": None, "M": None}) == parse_config(base)
+        with pytest.raises(ConfigError, match="key 'M': cannot parse 'abc'"):
+            parse_config(base, {"M": "abc"})
+        with pytest.raises(ConfigError, match="unknown key 'lam'"):
+            parse_config(base, {"lam": "2"})
+
+    def test_override_cannot_supply_a_missing_key(self, tmp_path):
+        lines = (REPO / "configs" / "baseline.cfg").read_text().splitlines()
+        cfg = tmp_path / "no_dt.cfg"
+        cfg.write_text("".join(f"{line}\n" for line in lines
+                               if not line.startswith("dt")))
+        with pytest.raises(ConfigError, match="missing keys: dt"):
+            parse_config(cfg, {"dt": "0.01"})
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "line.cfg"

@@ -71,10 +71,6 @@ class TestAssembly:
         with pytest.raises(SingularSystem):
             assemble(degenerate, UniformMesh(4, 1.0), 0.1)
 
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(SolverFailure):
-            assemble(PARAMS, UniformMesh(4, 1.0), 0.0)
-
 
 class TestAdvance:
     def test_zero_state_stays_zero(self):
