@@ -9,7 +9,8 @@ from shearbeam import stepper
 from shearbeam.energy import EnergyRecorder, check_monotone, discrete_energy
 from shearbeam.femesh import FeFunction, UniformMesh, interpolate, load_vector
 from shearbeam.mms import error_norm, initial_data, reference_case, run_level
-from shearbeam.model import (PhysicalParams, SimulationConfig, SingularSystem,
+from shearbeam.model import (InvalidTimeStep, PhysicalParams,
+                             SimulationConfig, SingularSystem,
                              SolverFailure, ValidationError, baseline_params,
                              sine_initial_data)
 from shearbeam.stepper import (ProbeRecorder, SnapshotRecorder, advance,
@@ -70,6 +71,16 @@ class TestAssembly:
         degenerate = PhysicalParams(*([0.0] * 12), L=1.0)
         with pytest.raises(SingularSystem):
             assemble(degenerate, UniformMesh(4, 1.0), 0.1)
+
+    def test_rejects_nonpositive_dt(self, monkeypatch):
+        # assemble trusts its inputs; run refuses dt <= 0 through validate
+        # before any step matrix is built.
+        monkeypatch.setattr(stepper, "assemble", lambda *a: pytest.fail(
+            "assemble reached with a nonpositive dt"))
+        for dt in (0.0, -0.1):
+            config = SimulationConfig(M=4, dt=dt, T=1.0)
+            with pytest.raises(InvalidTimeStep, match="dt"):
+                run(PARAMS, config, sine_initial_data(1.0))
 
 
 class TestAdvance:
