@@ -117,10 +117,13 @@ def read_energy_csv(path: Path) -> energy_mod.EnergySeries:
 # --------------------------------------------------------------------------
 
 def _levels(raw: str) -> list[int]:
-    """The element counts of a --levels value; at least one."""
+    """The element counts of a --levels value: at least one, strictly
+    increasing."""
     ms = model.comma_list("levels", raw, int)
     if not ms:
         raise model.ConfigError("--levels: no levels given")
+    if any(a >= b for a, b in zip(ms, ms[1:])):
+        raise model.ConfigError(f"--levels: must be strictly increasing (got {raw})")
     return ms
 
 

@@ -185,23 +185,14 @@ def h1_seminorm(v: FeFunction) -> float:
     return float(np.sqrt(max(q, 0.0)))
 
 
-def load_vector(f: Callable[[np.ndarray, float], np.ndarray],
-                t: float | np.ndarray, mesh: UniformMesh) -> np.ndarray:
-    """Interior entries of (f(., t), v_i) by per-element 3-point Gauss.
-
-    `t` is a time or a 1-D array of times.  For an array, f is evaluated
-    once, on `quad_x` against the times as a (k, 1, 1) column, and the
-    result holds one row of n_interior entries per time.
-    """
-    if np.ndim(t) != 0:
-        t = np.asarray(t, dtype=float)[:, None, None]
+def load_vector(f: Callable[[np.ndarray, float], np.ndarray], t: float,
+                mesh: UniformMesh) -> np.ndarray:
+    """Interior entries of (f(., t), v_i) by per-element 3-point Gauss."""
     fv = np.broadcast_to(np.asarray(f(mesh.quad_x, t), dtype=float),
-                         np.shape(t)[:1] + mesh.quad_x.shape)
-    # Summed term by term, so a time gives the same bits alone or in a batch.
-    wl, wr = mesh.h * _GAUSS_W * (1.0 - _GAUSS_S), mesh.h * _GAUSS_W * _GAUSS_S
-    left = fv[..., 0] * wl[0] + fv[..., 1] * wl[1] + fv[..., 2] * wl[2]
-    right = fv[..., 0] * wr[0] + fv[..., 1] * wr[1] + fv[..., 2] * wr[2]
-    return left[..., 1:] + right[..., :-1]
+                         mesh.quad_x.shape)
+    left = fv @ (mesh.h * _GAUSS_W * (1.0 - _GAUSS_S))
+    right = fv @ (mesh.h * _GAUSS_W * _GAUSS_S)
+    return left[1:] + right[:-1]
 
 
 def integrate(mesh: UniformMesh, values_at_quad: np.ndarray) -> float:

@@ -32,7 +32,13 @@ SpaceTimeField = Callable[[np.ndarray, float], np.ndarray]
 
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Exact fields, the derivatives the error norm needs, and sources."""
+    """Exact fields, the derivatives the error norm needs, and sources.
+
+    The sources are separable: f_i(x, t) = sum_k g(x)[..., i, k] * tau(t)[k],
+    with `g` mapping points x to x.shape + (4, K) and `tau` a time to K
+    values.  `stepper.run` assembles the load vector of each g_ik once per
+    mesh and combines them with tau at every step.
+    """
 
     params: PhysicalParams
     u: SpaceTimeField
@@ -46,10 +52,24 @@ class ManufacturedCase:
     w: SpaceTimeField
     w_t: SpaceTimeField
     w_x: SpaceTimeField
-    f1: SpaceTimeField
-    f2: SpaceTimeField
-    f3: SpaceTimeField
-    f4: SpaceTimeField
+    g: Callable[[np.ndarray], np.ndarray]
+    tau: Callable[[float], np.ndarray]
+
+    def source(self, i: int, x, t) -> np.ndarray:
+        """f_{i+1}(x, t), from the separable form."""
+        return self.g(x)[..., i, :] @ self.tau(t)
+
+    def f1(self, x, t):
+        return self.source(0, x, t)
+
+    def f2(self, x, t):
+        return self.source(1, x, t)
+
+    def f3(self, x, t):
+        return self.source(2, x, t)
+
+    def f4(self, x, t):
+        return self.source(3, x, t)
 
 
 def reference_case(params: PhysicalParams | None = None) -> ManufacturedCase:
@@ -62,7 +82,7 @@ def reference_case(params: PhysicalParams | None = None) -> ManufacturedCase:
         psi = e^t x cos(pi x / 2)
         w   = 2 e^t sin(pi x)
 
-    The sources below are the four residuals
+    The sources are the four residuals
 
         f1 = rho*u_tt - alpha*u_xx - lam*(phi - u) + mu*u_t
         f2 = rho1*phi_tt - K*(phi_x + psi)_x + lam*(phi - u)
@@ -71,9 +91,20 @@ def reference_case(params: PhysicalParams | None = None) -> ManufacturedCase:
         f4 = rho3*w_tt - delta*w_xx + beta*phi_xt - kappa*w_xxt
 
     written out by hand (u_tt = 0; every time derivative of the
-    exponential fields reproduces the field itself).  The test suite
-    cross-checks these closed forms against a finite-difference residual
-    oracle at random points.
+    exponential fields reproduces the field itself) in separable form
+    with tau = (1, t, e^t).  With U = 0.01 x^2 (x-1)^2, s = sin(pi x),
+    c = cos(pi x), P = x cos(pi x / 2) and primes for x-derivatives:
+
+        tau_k   1       t                    e^t
+        f1      mu*U    -alpha*U'' + lam*U   -lam*s
+        f2      0       -lam*U               (rho1 + lam + gamma + K pi^2) s
+                                             - K*P' + 2 beta pi c
+        f3      0       0                    -b*P'' + K*(pi c + P)
+        f4      0       0                    2 (rho3 + (delta + kappa) pi^2) s
+                                             + beta pi c
+
+    The test suite cross-checks these closed forms against a
+    finite-difference residual oracle at random points.
     """
     p = baseline_params() if params is None else params
     pi = np.pi
@@ -81,37 +112,43 @@ def reference_case(params: PhysicalParams | None = None) -> ManufacturedCase:
     u = lambda x, t: 0.01 * t * x ** 2 * (x - 1.0) ** 2
     u_t = lambda x, t: 0.01 * x ** 2 * (x - 1.0) ** 2 + 0.0 * t
     u_x = lambda x, t: 0.01 * t * (4.0 * x ** 3 - 6.0 * x ** 2 + 2.0 * x)
-    u_xx = lambda x, t: 0.01 * t * (12.0 * x ** 2 - 12.0 * x + 2.0)
 
     phi = lambda x, t: np.exp(t) * np.sin(pi * x)
     phi_x = lambda x, t: np.exp(t) * pi * np.cos(pi * x)
-    phi_xx = lambda x, t: -np.exp(t) * pi ** 2 * np.sin(pi * x)
 
     psi = lambda x, t: np.exp(t) * x * np.cos(0.5 * pi * x)
     psi_x = lambda x, t: np.exp(t) * (np.cos(0.5 * pi * x)
                                       - 0.5 * pi * x * np.sin(0.5 * pi * x))
-    psi_xx = lambda x, t: np.exp(t) * (-pi * np.sin(0.5 * pi * x)
-                                       - 0.25 * pi ** 2 * x * np.cos(0.5 * pi * x))
 
     w = lambda x, t: 2.0 * np.exp(t) * np.sin(pi * x)
     w_x = lambda x, t: 2.0 * np.exp(t) * pi * np.cos(pi * x)
-    w_xx = lambda x, t: -2.0 * np.exp(t) * pi ** 2 * np.sin(pi * x)
 
-    # phi_xt = phi_x, w_xt = w_x, w_xxt = w_xx, w_tt = w, phi_tt = phi.
-    f1 = lambda x, t: (-p.alpha * u_xx(x, t) - p.lam * (phi(x, t) - u(x, t))
-                       + p.mu * u_t(x, t))
-    f2 = lambda x, t: (p.rho1 * phi(x, t) - p.K * (phi_xx(x, t) + psi_x(x, t))
-                       + p.lam * (phi(x, t) - u(x, t)) + p.gamma * phi(x, t)
-                       + p.beta * w_x(x, t))
-    f3 = lambda x, t: -p.b * psi_xx(x, t) + p.K * (phi_x(x, t) + psi(x, t))
-    f4 = lambda x, t: (p.rho3 * w(x, t) - p.delta * w_xx(x, t)
-                       + p.beta * phi_x(x, t) - p.kappa * w_xx(x, t))
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        zero = np.zeros_like(x)
+        s, c = np.sin(pi * x), np.cos(pi * x)
+        sh, ch = np.sin(0.5 * pi * x), np.cos(0.5 * pi * x)
+        U = 0.01 * x ** 2 * (x - 1.0) ** 2
+        U_xx = 0.01 * (12.0 * x ** 2 - 12.0 * x + 2.0)
+        P_x = ch - 0.5 * pi * x * sh
+        P_xx = -pi * sh - 0.25 * pi ** 2 * x * ch
+        rows = (
+            (p.mu * U, -p.alpha * U_xx + p.lam * U, -p.lam * s),
+            (zero, -p.lam * U,
+             (p.rho1 + p.lam + p.gamma + p.K * pi ** 2) * s - p.K * P_x
+             + 2.0 * p.beta * pi * c),
+            (zero, zero, -p.b * P_xx + p.K * (pi * c + x * ch)),
+            (zero, zero, 2.0 * (p.rho3 + (p.delta + p.kappa) * pi ** 2) * s
+             + p.beta * pi * c),
+        )
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+    tau = lambda t: np.array([1.0, t, np.exp(t)])
 
     return ManufacturedCase(params=p, u=u, u_t=u_t, u_x=u_x,
                             phi=phi, phi_t=phi, phi_x=phi_x,
                             psi=psi, psi_x=psi_x,
-                            w=w, w_t=w, w_x=w_x,
-                            f1=f1, f2=f2, f3=f3, f4=f4)
+                            w=w, w_t=w, w_x=w_x, g=g, tau=tau)
 
 
 def initial_data(case: ManufacturedCase) -> InitialData:

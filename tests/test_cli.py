@@ -134,7 +134,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("case", ["probes", "window", "row", "short-row",
                                       "no-levels", "M", "dt", "snapshot-stride",
-                                      "T", "dup-probes", "no-rows"])
+                                      "T", "dup-probes", "no-rows",
+                                      "repeat-levels", "descending-levels"])
     def test_bad_input_is_one_line_exit_2(self, case, tmp_path, capsys):
         cfg = tiny_config(tmp_path, **{"T = 0.5": "T = 0.02", "dt = 0.05": "dt = 0.01"})
         energy_csv = tmp_path / "energy.csv"
@@ -157,7 +158,10 @@ class TestErrorPaths:
                                     "--snapshot-stride", "1.5"],
                 "T": ["convergence", "--T", "abc"],
                 "dup-probes": ["simulate", "--config", str(cfg), "--probes", "0.6,0.6"],
-                "no-rows": ["energy", "--input", str(energy_csv)]}[case]
+                "no-rows": ["energy", "--input", str(energy_csv)],
+                "repeat-levels": ["convergence", "--levels", "4,4", "--T", "0.05",
+                                  "--output-dir", str(tmp_path / "conv")],
+                "descending-levels": ["eta-check", "--levels", "8,4"]}[case]
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err

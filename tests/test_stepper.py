@@ -267,13 +267,13 @@ class TestRun:
 
     def test_nan_source_fails_naming_the_step(self):
         case = reference_case()
-        f1 = lambda x, t: case.f1(x, t) + np.where(t > 0.25, np.nan, 0.0)
+        tau = lambda t: case.tau(t) + (np.nan if t > 0.25 else 0.0)
         config = SimulationConfig(M=10, dt=0.1, T=1.0)
         with pytest.raises(SolverFailure, match=r"step 3 \(t = 0.3\)"):
             run(case.params, config, initial_data(case),
-                sources=dataclasses.replace(case, f1=f1))
+                sources=dataclasses.replace(case, tau=tau))
 
-    def test_batched_sources_match_per_step_loads(self):
+    def test_separable_sources_match_per_step_loads(self):
         case = reference_case()
         config = SimulationConfig(M=12, dt=0.01, T=0.2)
         final = run(case.params, config, initial_data(case), sources=case)
@@ -289,6 +289,31 @@ class TestRun:
         for name in ("u", "phi", "psi", "w", "xi", "Phi", "vartheta"):
             assert_allclose(getattr(final, name).values,
                             getattr(state, name).values, rtol=1e-13, atol=1e-13)
+
+    def test_sources_are_separable_in_run(self):
+        # g is evaluated only while the mesh is set up, as often for 1 step
+        # as for 20; tau once per step, at the new time level.
+        case = reference_case()
+        log = []
+
+        def g(x):
+            log.append("g")
+            return case.g(x)
+
+        def tau(t):
+            log.append(t)
+            return case.tau(t)
+
+        counted = dataclasses.replace(case, g=g, tau=tau)
+        set_up = []
+        for steps in (1, 20):
+            log.clear()
+            config = SimulationConfig(M=12, dt=0.01, T=0.01 * steps)
+            run(case.params, config, initial_data(case), sources=counted)
+            set_up.append(log.count("g"))
+            times = [k * config.dt for k in range(1, steps + 1)]
+            assert log == ["g"] * set_up[-1] + times
+        assert set_up[0] == set_up[1] >= 1
 
     def test_study_error_pinned(self):
         # Level error recorded before the step was rewritten around block
