@@ -17,6 +17,7 @@ error, 3 I/O error, 4 solver failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
@@ -102,11 +103,14 @@ def read_energy_csv(path: Path) -> energy_mod.EnergySeries:
                 continue
             cells = line.split(",")
             try:
-                t.append(float(cells[it]))
-                E.append(float(cells[iE]))
+                t_n, E_n = float(cells[it]), float(cells[iE])
             except (ValueError, IndexError):
+                t_n = E_n = math.nan
+            if not (math.isfinite(t_n) and math.isfinite(E_n)):
                 raise model.ConfigError(
-                    f"{path}:{ln}: bad energy row '{line.strip()}'") from None
+                    f"{path}:{ln}: bad energy row '{line.strip()}'")
+            t.append(t_n)
+            E.append(E_n)
     if not t:
         raise model.ConfigError(f"{path}: no data rows")
     return energy_mod.EnergySeries(np.asarray(t), np.asarray(E))

@@ -41,7 +41,9 @@ super-diagonal blocks stacked (24x4 for R, 12x4 for A), and applied as a
 single product with the view whose row for interior node i holds nodes
 i-1, i and i+1 (`_windows`).  A is also assembled once in band storage —
 band width 6 on either side — and LU-factorized once per (params, mesh,
-dt); its stencil checks the residual of every solve.  Optional sources
+dt) by LAPACK's dgbtrf, then solved by dgbtrs; both come from scipy's
+LAPACK extension through `_lapack`, which loads it without importing the
+rest of scipy.  Its stencil checks the residual of every solve.  Optional sources
 f_i(x, t) = sum_k g_ik(x) tau_k(t) enter at the new time level, matching
 the backward-Euler character of the scheme: the load vectors of the g_ik
 are assembled once per mesh, and each step weights them by tau(t_n).
@@ -55,8 +57,8 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
+from ._lapack import lapack
 from .femesh import FeFunction, UniformMesh, interpolate, load_vector, stencils
 from .model import (InitialData, PhysicalParams, SimulationConfig,
                     SingularSystem, SolverFailure, ValidationError, num_steps,

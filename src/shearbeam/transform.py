@@ -15,6 +15,10 @@ here: find eta with
     delta*(eta_x, v_x) = -rho3*(theta1, v) - kappa*(theta0_x, v_x)
                          + beta*(phi1, v_x)          for all test v.
 
+The P1 system is tridiagonal and Toeplitz; it is solved by LAPACK's dgtsv
+(Gaussian elimination with partial pivoting), taken from scipy's LAPACK
+extension through `_lapack` like the stepper's banded routines.
+
 During a run the temperature itself never appears; it is recovered from
 the state as theta = w_t (`State.vartheta`).
 """
@@ -24,11 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from ._lapack import lapack
 from .femesh import (FeFunction, UniformMesh, build_gradient, build_mass,
                      build_stiffness, interpolate, stencils)
-from .model import PhysicalParams, ScalarField, SingularSystem
+from .model import (PhysicalParams, ScalarField, SingularSystem,
+                    ValidationError)
 
 
 @dataclass(frozen=True)
@@ -48,11 +53,16 @@ def _as_fe(f, mesh: UniformMesh) -> FeFunction:
 
 
 def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> FeFunction:
-    """P1 solution of the weak offset problem on the given mesh."""
+    """P1 solution of the weak offset problem on the given mesh.  Raises
+    ValidationError naming the field when a sample of theta0, theta1 or
+    phi1 is not finite, and when the matrix or right-hand side is not."""
     p = problem.params
-    theta0 = _as_fe(problem.theta0, mesh)
-    theta1 = _as_fe(problem.theta1, mesh)
-    phi1 = _as_fe(problem.phi1, mesh)
+    fields = {name: _as_fe(getattr(problem, name), mesh)
+              for name in ("theta0", "theta1", "phi1")}
+    for name, f in fields.items():
+        if not np.isfinite(f.values).all():
+            raise ValidationError(
+                f"initial function {name} is not finite at every interior node")
 
     mass = build_mass(mesh)
     stiff = build_stiffness(mesh)
@@ -60,17 +70,21 @@ def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> FeFunction:
 
     # beta*(phi1, v_x) contributes through the transposed gradient matrix,
     # which equals -grad by antisymmetry.
-    rhs = (-p.rho3 * mass.matvec(theta1.values)
-           - p.kappa * stiff.matvec(theta0.values)
-           - p.beta * grad.matvec(phi1.values))
+    rhs = (-p.rho3 * mass.matvec(fields["theta1"].values)
+           - p.kappa * stiff.matvec(fields["theta0"].values)
+           - p.beta * grad.matvec(fields["phi1"].values))
+    if not np.isfinite(rhs).all():
+        raise ValidationError("offset right-hand side is not finite")
 
     sub, main, sup = p.delta * stencils(mesh.h)[1]
-    ab = np.zeros((3, mesh.n_interior))
-    ab[0, 1:] = sup
-    ab[1, :] = main
-    ab[2, :-1] = sub
-    try:
-        eta = solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:  # cannot occur for delta > 0
-        raise SingularSystem(f"offset solve failed: {exc}") from None
+    if not np.isfinite([sub, main, sup]).all():
+        raise ValidationError(f"offset matrix is not finite (delta={p.delta!r})")
+    n = mesh.n_interior
+    # f2py rejects empty off-diagonals, which n = 1 would give; LAPACK
+    # reads none of their entries then.
+    off = max(n - 1, 1)
+    *_, eta, info = lapack.dgtsv(np.full(off, sub), np.full(n, main),
+                                 np.full(off, sup), rhs)
+    if info != 0:  # cannot occur for delta > 0
+        raise SingularSystem(f"offset solve failed (dgtsv info={info})")
     return FeFunction(mesh, eta)

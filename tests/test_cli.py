@@ -135,7 +135,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("case", ["probes", "window", "row", "short-row",
                                       "no-levels", "M", "dt", "snapshot-stride",
                                       "T", "dup-probes", "no-rows",
-                                      "repeat-levels", "descending-levels"])
+                                      "repeat-levels", "descending-levels",
+                                      "nan-energy", "inf-energy", "nan-time"])
     def test_bad_input_is_one_line_exit_2(self, case, tmp_path, capsys):
         cfg = tiny_config(tmp_path, **{"T = 0.5": "T = 0.02", "dt = 0.05": "dt = 0.01"})
         energy_csv = tmp_path / "energy.csv"
@@ -147,6 +148,13 @@ class TestErrorPaths:
                                   + ("1,abc\n" if case == "row" else "1\n"))
         elif case == "no-rows":
             energy_csv.write_text("n,t,E,logE,negLogEOverT\n")
+        elif case in ("nan-energy", "inf-energy", "nan-time"):
+            # A clean decay over t = 0..4 but for one value at t = 3.
+            bad = {"nan-energy": "30,3.0,nan", "inf-energy": "30,3.0,inf",
+                   "nan-time": f"30,nan,{np.exp(-6.0)}"}[case]
+            rows = [f"{n},{n / 10},{np.exp(-n / 5)}" for n in range(41)]
+            rows[30] = bad
+            energy_csv.write_text("n,t,E\n" + "\n".join(rows) + "\n")
         argv = {"probes": ["simulate", "--config", str(cfg), "--probes", "abc"],
                 "window": ["energy", "--input", str(energy_csv), "--window", "5,10"],
                 "row": ["energy", "--input", str(energy_csv)],
@@ -161,7 +169,10 @@ class TestErrorPaths:
                 "no-rows": ["energy", "--input", str(energy_csv)],
                 "repeat-levels": ["convergence", "--levels", "4,4", "--T", "0.05",
                                   "--output-dir", str(tmp_path / "conv")],
-                "descending-levels": ["eta-check", "--levels", "8,4"]}[case]
+                "descending-levels": ["eta-check", "--levels", "8,4"],
+                "nan-energy": ["energy", "--input", str(energy_csv)],
+                "inf-energy": ["energy", "--input", str(energy_csv)],
+                "nan-time": ["energy", "--input", str(energy_csv)]}[case]
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from shearbeam.femesh import UniformMesh, l2_error, l2_norm
-from shearbeam.model import baseline_params
+from shearbeam.model import ValidationError, baseline_params
 from shearbeam.transform import EtaProblem, solve_eta
 
 PI = np.pi
@@ -81,3 +84,31 @@ class TestSolveEta:
         c = PARAMS.beta / (PARAMS.delta * PI)
         exact = lambda x: c * (1.0 - np.cos(PI * x) - 2.0 * x)
         assert l2_error(eta, exact) < 5e-4
+
+
+class TestNonFiniteData:
+    """A non-finite sample never reaches the tridiagonal solve."""
+
+    @pytest.mark.parametrize("name", ["theta0", "theta1", "phi1"])
+    def test_rejects_non_finite_field(self, name):
+        def nan_at_middle(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.isclose(x, 0.5), np.nan, np.sin(PI * x))
+
+        fields = {"theta0": zero, "theta1": zero, "phi1": zero, name: nan_at_middle}
+        with pytest.raises(ValidationError,
+                           match=f"initial function {name} is not finite"):
+            solve_eta(EtaProblem(**fields, params=PARAMS), UniformMesh(8, 1.0))
+
+    def test_rejects_non_finite_right_hand_side(self):
+        # Finite fields, but rho3 = inf times the zero theta1 gives NaN
+        # (numpy's warning about that product is not what is tested).
+        params = dataclasses.replace(PARAMS, rho3=np.inf)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValidationError, match="right-hand side"):
+            solve_eta(EtaProblem(sin_pix, zero, zero, params), UniformMesh(8, 1.0))
+
+    def test_rejects_non_finite_matrix(self):
+        params = dataclasses.replace(PARAMS, delta=np.inf)
+        with pytest.raises(ValidationError, match="matrix"):
+            solve_eta(EtaProblem(sin_pix, zero, zero, params), UniformMesh(8, 1.0))
