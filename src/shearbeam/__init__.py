@@ -8,8 +8,8 @@ from .model import (ConfigError, DegenerateWindow, InitialData, InvalidMesh,
                     SolverFailure, ValidationError,
                     baseline_params, parse_config, sine_initial_data, validate)
 from .femesh import (FeFunction, TriDiag, UniformMesh, build_gradient,
-                     build_mass, build_stiffness, h1_seminorm, interpolate,
-                     l2_error, l2_norm, load_vector)
+                     build_mass, build_stiffness, interpolate, l2_error,
+                     load_vector)
 from .transform import EtaProblem, solve_eta
 from .stepper import (BlockSystem, ProbeRecorder, SnapshotRecorder, State,
                       advance, assemble, initial_state, run)

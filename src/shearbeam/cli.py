@@ -36,12 +36,9 @@ EXIT_SOLVER = 4
 
 
 def _fmt(value) -> str:
-    """17 significant digits: round-trips IEEE doubles exactly."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None:
-        return ""
-    return format(float(value), ".17g")
+    """17 significant digits: round-trips IEEE doubles exactly, and prints
+    integers below 2**53 without a decimal point."""
+    return "" if value is None else "%.17g" % value
 
 
 def atomic_write(path: Path, text: str) -> None:
@@ -72,24 +69,9 @@ def write_energy_csv(path: Path, recorder: energy_mod.EnergyRecorder) -> None:
                   logE.tolist(), energy_mod.neg_log_over_t(series).tolist()))
 
 
-def write_probe_csv(path: Path, recorder: stepper.ProbeRecorder, x: float) -> None:
-    write_csv(path, "t,u,phi,psi,w", recorder.rows(x))
-
-
-def write_snapshot_csv(path: Path, recorder: stepper.SnapshotRecorder) -> None:
-    write_csv(path, "x,t,u,phi,psi,w", recorder.rows())
-
-
-def write_convergence_csv(path: Path, rows) -> None:
-    write_csv(path, "M,dt,error,ratio,order",
-              ((r.M, r.dt, r.error, r.ratio, r.observed_order) for r in rows))
-
-
-def write_loglog_csv(path: Path, rows, L: float) -> None:
-    write_csv(path, "h_plus_dt,error", ((L / r.M + r.dt, r.error) for r in rows))
-
-
 def read_energy_csv(path: Path) -> energy_mod.EnergySeries:
+    """The (t, E) columns of an energy CSV.  Every row must hold a finite
+    E >= 0 and a finite t greater than the previous row's."""
     t, E = [], []
     with open(path) as handle:
         header = handle.readline().strip().split(",")
@@ -106,9 +88,13 @@ def read_energy_csv(path: Path) -> energy_mod.EnergySeries:
                 t_n, E_n = float(cells[it]), float(cells[iE])
             except (ValueError, IndexError):
                 t_n = E_n = math.nan
-            if not (math.isfinite(t_n) and math.isfinite(E_n)):
+            if not (math.isfinite(t_n) and math.isfinite(E_n) and E_n >= 0.0):
                 raise model.ConfigError(
                     f"{path}:{ln}: bad energy row '{line.strip()}'")
+            if t and t_n <= t[-1]:
+                raise model.ConfigError(
+                    f"{path}:{ln}: time {_fmt(t_n)} does not increase "
+                    f"(previous row: {_fmt(t[-1])})")
             t.append(t_n)
             E.append(E_n)
     if not t:
@@ -201,9 +187,8 @@ def _cmd_simulate(args) -> int:
         case, sources = None, None
         init = model.sine_initial_data(params.L)
 
-    mesh = femesh.UniformMesh(config.M, params.L)
     n_final = model.num_steps(config)
-    energy_rec = energy_mod.EnergyRecorder(mesh, params)
+    energy_rec = energy_mod.EnergyRecorder(params)
     probe_rec = stepper.ProbeRecorder(config.probe_points)
     snap_rec = stepper.SnapshotRecorder(config.snapshot_stride, n_final)
 
@@ -215,9 +200,9 @@ def _cmd_simulate(args) -> int:
     written = ["energy.csv"]
     for x in config.probe_points:
         name = f"probe_x{x!r}.csv"  # shortest round-trip form, e.g. 0.6
-        write_probe_csv(out / name, probe_rec, x)
+        write_csv(out / name, "t,u,phi,psi,w", probe_rec.rows(x))
         written.append(name)
-    write_snapshot_csv(out / "snapshots.csv", snap_rec)
+    write_csv(out / "snapshots.csv", "x,t,u,phi,psi,w", snap_rec.rows())
     written.append("snapshots.csv")
 
     print(f"completed {n_final} steps to t = {_fmt(final.t)}")
@@ -241,13 +226,14 @@ def _cmd_convergence(args) -> int:
     rows = mms.convergence_table(case, levels, args.T)
 
     out = Path(_resolve_output_dir(args, "."))
-    write_convergence_csv(out / "convergence.csv", rows)
-    write_loglog_csv(out / "error_vs_h_plus_dt.csv", rows, params.L)
+    table = [(r.M, r.dt, r.error, r.ratio, r.observed_order) for r in rows]
+    write_csv(out / "convergence.csv", "M,dt,error,ratio,order", table)
+    write_csv(out / "error_vs_h_plus_dt.csv", "h_plus_dt,error",
+              [(params.L / r.M + r.dt, r.error) for r in rows])
 
     print("M,dt,error,ratio,order")
-    for r in rows:
-        print(",".join(_fmt(v) for v in
-                       (r.M, r.dt, r.error, r.ratio, r.observed_order)))
+    for row in table:
+        print(",".join(_fmt(v) for v in row))
     if len(rows) >= 2:
         print(f"least-squares order vs h+dt: "
               f"{_fmt(mms.observed_order_slope(rows, params.L))}")

@@ -17,19 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .femesh import UniformMesh
 from .model import DegenerateWindow, PhysicalParams
-from .stepper import State, state_energy
-
-
-def discrete_energy(state: State, mesh: UniformMesh, params: PhysicalParams) -> float:
-    """Energy of one discrete state; positive definite for positive params.
-
-    Evaluated exactly, on the step's block stencils (`stepper.state_energy`).
-    """
-    if (mesh.M, mesh.L) != (state.mesh.M, state.mesh.L):
-        raise ValueError(f"state lives on {state.mesh!r}, not on {mesh!r}")
-    return state_energy(state, params)
+from .stepper import State, discrete_energy
 
 
 @dataclass(frozen=True)
@@ -58,8 +47,7 @@ class DecaySummary:
 class EnergyRecorder:
     """Run observer recording (n, t, E) at every step."""
 
-    def __init__(self, mesh: UniformMesh, params: PhysicalParams):
-        self.mesh = mesh
+    def __init__(self, params: PhysicalParams):
         self.params = params
         self.steps: list[int] = []
         self.times: list[float] = []
@@ -68,7 +56,7 @@ class EnergyRecorder:
     def __call__(self, state: State) -> None:
         self.steps.append(state.n)
         self.times.append(state.t)
-        self.energies.append(discrete_energy(state, self.mesh, self.params))
+        self.energies.append(discrete_energy(state, self.params))
 
     def series(self) -> EnergySeries:
         return EnergySeries(np.asarray(self.times), np.asarray(self.energies))

@@ -1,4 +1,4 @@
-"""Uniform 1D mesh, P1 elements, element matrices, interpolation, and norms.
+"""Uniform 1D mesh, P1 elements, element matrices, interpolation, quadrature.
 
 Functions in the discrete space are continuous, piecewise affine, and vanish
 at both endpoints, so a `FeFunction` stores only the M-1 interior nodal
@@ -97,14 +97,8 @@ class FeFunction:
         full = self.with_boundary()
         return full[:-1, None] * (1.0 - _GAUSS_S) + full[1:, None] * _GAUSS_S
 
-    def __add__(self, other: "FeFunction") -> "FeFunction":
-        return FeFunction(self.mesh, self.values + other.values)
-
     def __sub__(self, other: "FeFunction") -> "FeFunction":
         return FeFunction(self.mesh, self.values - other.values)
-
-    def __rmul__(self, c: float) -> "FeFunction":
-        return FeFunction(self.mesh, c * self.values)
 
 
 @dataclass
@@ -171,18 +165,6 @@ def interpolate(f: Callable[[np.ndarray], np.ndarray], mesh: UniformMesh) -> FeF
     nodal values; no solve is needed.
     """
     return FeFunction(mesh, np.asarray(f(mesh.nodes[1:-1]), dtype=float))
-
-
-def l2_norm(v: FeFunction) -> float:
-    """Exact L2 norm of a P1 function: sqrt(c^T Mass c)."""
-    q = build_mass(v.mesh).quad(v.values)
-    return float(np.sqrt(max(q, 0.0)))
-
-
-def h1_seminorm(v: FeFunction) -> float:
-    """Exact L2 norm of the derivative: sqrt(c^T Stiffness c)."""
-    q = build_stiffness(v.mesh).quad(v.values)
-    return float(np.sqrt(max(q, 0.0)))
 
 
 def load_vector(f: Callable[[np.ndarray, float], np.ndarray], t: float,

@@ -48,7 +48,7 @@ f_i(x, t) = sum_k g_ik(x) tau_k(t) enter at the new time level, matching
 the backward-Euler character of the scheme: the load vectors of the g_ik
 are assembled once per mesh, and each step weights them by tau(t_n).
 The discrete energy is the quadratic form 1/2 s.(E s) with one 24x8
-stencil E (`state_energy`).
+stencil E (`discrete_energy`).
 """
 
 from __future__ import annotations
@@ -206,9 +206,9 @@ def _energy_stencil(params: PhysicalParams, h: float) -> np.ndarray:
     return out
 
 
-def state_energy(state: State, params: PhysicalParams) -> float:
-    """The discrete energy of `state` (`energy.discrete_energy`) as
-    1/2 s.(E s)."""
+def discrete_energy(state: State, params: PhysicalParams) -> float:
+    """Energy of one discrete state, 1/2 s.(E s); positive definite for
+    positive params."""
     s = state._s
     es = _windows(s) @ _energy_stencil(params, state.mesh.h)
     return float(0.5 * np.vdot(s[1:-1], es))
@@ -267,10 +267,9 @@ class BlockSystem:
         self._lu, self._piv = lu, piv
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Unfactorized matrix applied to an interleaved vector."""
-        padded = np.zeros((self.mesh.M + 1, 4))
-        padded[1:-1] = x.reshape(-1, 4)
-        return (_windows(padded) @ self._A).reshape(x.shape)
+        """Unfactorized matrix applied to a contiguous node-major (M+1, 4)
+        array with zero end rows: the (M-1, 4) interior rows of A x."""
+        return _windows(x) @ self._A
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         x, info = lapack.dgbtrs(self._lu, _KL, _KU, rhs, self._piv)
@@ -296,42 +295,33 @@ def assemble(params: PhysicalParams, mesh: UniformMesh, dt: float) -> BlockSyste
     return BlockSystem(params, mesh, dt)
 
 
-def _step(system: BlockSystem, s: np.ndarray,
-          loads: np.ndarray | None) -> np.ndarray:
-    """The step on node-major state arrays: s at the old level to the new one."""
+def advance(system: BlockSystem, state: State, loads=None) -> State:
+    """One implicit step.  `loads` are the assembled sources at the new time
+    level: the four vectors f1..f4, or a node-major (M-1, 4) array."""
+    s = state._s
     rhs = _windows(s) @ system._R
     if loads is not None:
-        rhs += loads
-    rhs = rhs.ravel()
+        rhs += loads if isinstance(loads, np.ndarray) else np.stack(loads, axis=1)
 
-    sol = system.solve(rhs)
+    x_new = np.zeros((s.shape[0], 4))
+    x_new[1:-1] = system.solve(rhs.ravel()).reshape(-1, 4)
 
     # Written so that a NaN anywhere fails the check.
-    rhs_norm = math.sqrt(rhs @ rhs)
-    r = system.matvec(sol) - rhs
-    residual = math.sqrt(r @ r)
+    rhs_norm = math.sqrt(np.vdot(rhs, rhs))
+    r = system.matvec(x_new) - rhs
+    residual = math.sqrt(np.vdot(r, r))
     if not (math.isfinite(rhs_norm)
             and residual <= RESIDUAL_TOL * max(rhs_norm, 1e-300)):
         raise SolverFailure(
             f"linear solve residual {residual:.3e} exceeds "
             f"{RESIDUAL_TOL:.1e} * |rhs| = {RESIDUAL_TOL * rhs_norm:.3e}")
 
-    x_new = np.zeros((s.shape[0], 4))
-    x_new[1:-1] = sol.reshape(-1, 4)
     # (x_new, d + dt*x_new) with d = s[:, 4:], bit for bit: each entry of
     # either product has one nonzero term.  Half the cost of column slices.
     s_new = x_new @ system._update + s @ _DISPLACEMENTS
     s_new[:, _SPRING] = s_new[:, _DPHI] - s_new[:, _U]
-    return s_new
-
-
-def advance(system: BlockSystem, state: State, loads=None) -> State:
-    """One implicit step.  `loads` are the assembled sources at the new time
-    level: the four vectors f1..f4, or a node-major (M-1, 4) array."""
-    if loads is not None and not isinstance(loads, np.ndarray):
-        loads = np.stack(loads, axis=1)
-    return State._from_array(system.mesh, _step(system, state._s, loads),
-                             (state.n + 1) * system.dt, state.n + 1)
+    n = state.n + 1
+    return State._from_array(system.mesh, s_new, n * system.dt, n)
 
 
 def _spatial_loads(g, mesh: UniformMesh) -> np.ndarray:

@@ -38,18 +38,13 @@ from .model import (PhysicalParams, ScalarField, SingularSystem,
 
 @dataclass(frozen=True)
 class EtaProblem:
-    """Data of the offset problem; fields may be closures or FeFunctions."""
+    """Data of the offset problem: the temperature data and the deck
+    velocity as callables of x, interpolated on the mesh of the solve."""
 
-    theta0: ScalarField | FeFunction
-    theta1: ScalarField | FeFunction
-    phi1: ScalarField | FeFunction
+    theta0: ScalarField
+    theta1: ScalarField
+    phi1: ScalarField
     params: PhysicalParams
-
-
-def _as_fe(f, mesh: UniformMesh) -> FeFunction:
-    if isinstance(f, FeFunction):
-        return f
-    return interpolate(f, mesh)
 
 
 def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> FeFunction:
@@ -57,7 +52,7 @@ def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> FeFunction:
     ValidationError naming the field when a sample of theta0, theta1 or
     phi1 is not finite, and when the matrix or right-hand side is not."""
     p = problem.params
-    fields = {name: _as_fe(getattr(problem, name), mesh)
+    fields = {name: interpolate(getattr(problem, name), mesh)
               for name in ("theta0", "theta1", "phi1")}
     for name, f in fields.items():
         if not np.isfinite(f.values).all():

@@ -37,6 +37,12 @@ class TestFloatFormat:
     def test_integers_and_missing(self):
         assert _fmt(40) == "40"
         assert _fmt(None) == ""
+        assert _fmt(np.int64(2000)) == "2000"
+        assert _fmt(1280) == "1280"
+        assert _fmt(-0.0) == "-0"
+        assert _fmt(float("inf")) == "inf"
+        assert _fmt(float("nan")) == "nan"
+        assert _fmt(np.float64(0.1)) == "0.10000000000000001"
 
 
 class TestSimulate:
@@ -59,7 +65,7 @@ class TestSimulate:
         assert "completed 10 steps" in capsys.readouterr().out
 
     def test_energy_csv_nonpositive_energy(self, tmp_path):
-        rec = EnergyRecorder(None, None)  # filled by hand, never called
+        rec = EnergyRecorder(None)  # filled by hand, never called
         rec.steps, rec.times = [0, 1, 2], [0.0, 1.0, 2.0]
         rec.energies = [1.0, 0.0, -1.0]
         cli.write_energy_csv(tmp_path / "energy.csv", rec)
@@ -136,7 +142,9 @@ class TestErrorPaths:
                                       "no-levels", "M", "dt", "snapshot-stride",
                                       "T", "dup-probes", "no-rows",
                                       "repeat-levels", "descending-levels",
-                                      "nan-energy", "inf-energy", "nan-time"])
+                                      "nan-energy", "inf-energy", "nan-time",
+                                      "negative-energy", "repeated-time",
+                                      "decreasing-time"])
     def test_bad_input_is_one_line_exit_2(self, case, tmp_path, capsys):
         cfg = tiny_config(tmp_path, **{"T = 0.5": "T = 0.02", "dt = 0.05": "dt = 0.01"})
         energy_csv = tmp_path / "energy.csv"
@@ -148,10 +156,14 @@ class TestErrorPaths:
                                   + ("1,abc\n" if case == "row" else "1\n"))
         elif case == "no-rows":
             energy_csv.write_text("n,t,E,logE,negLogEOverT\n")
-        elif case in ("nan-energy", "inf-energy", "nan-time"):
+        elif case in ("nan-energy", "inf-energy", "nan-time", "negative-energy",
+                      "repeated-time", "decreasing-time"):
             # A clean decay over t = 0..4 but for one value at t = 3.
             bad = {"nan-energy": "30,3.0,nan", "inf-energy": "30,3.0,inf",
-                   "nan-time": f"30,nan,{np.exp(-6.0)}"}[case]
+                   "nan-time": f"30,nan,{np.exp(-6.0)}",
+                   "negative-energy": "30,3.0,-1.0",
+                   "repeated-time": f"30,2.9,{np.exp(-6.0)}",
+                   "decreasing-time": f"30,2.8,{np.exp(-6.0)}"}[case]
             rows = [f"{n},{n / 10},{np.exp(-n / 5)}" for n in range(41)]
             rows[30] = bad
             energy_csv.write_text("n,t,E\n" + "\n".join(rows) + "\n")
@@ -172,7 +184,10 @@ class TestErrorPaths:
                 "descending-levels": ["eta-check", "--levels", "8,4"],
                 "nan-energy": ["energy", "--input", str(energy_csv)],
                 "inf-energy": ["energy", "--input", str(energy_csv)],
-                "nan-time": ["energy", "--input", str(energy_csv)]}[case]
+                "nan-time": ["energy", "--input", str(energy_csv)],
+                "negative-energy": ["energy", "--input", str(energy_csv)],
+                "repeated-time": ["energy", "--input", str(energy_csv)],
+                "decreasing-time": ["energy", "--input", str(energy_csv)]}[case]
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
