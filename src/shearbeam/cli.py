@@ -41,23 +41,22 @@ def _fmt(value) -> str:
     return "" if value is None else "%.17g" % value
 
 
-def atomic_write(path: Path, text: str) -> None:
+def write_csv(path: Path, header: str, rows) -> None:
+    """Stream `header` and one formatted line per row into a temp file in
+    the target directory, then rename it over `path`: readers see the old
+    file or the whole new one, never a partial write."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.write(header + "\n")
+            for row in rows:
+                handle.write(",".join(_fmt(v) for v in row) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_csv(path: Path, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_energy_csv(path: Path, recorder: energy_mod.EnergyRecorder) -> None:
@@ -73,30 +72,33 @@ def read_energy_csv(path: Path) -> energy_mod.EnergySeries:
     """The (t, E) columns of an energy CSV.  Every row must hold a finite
     E >= 0 and a finite t greater than the previous row's."""
     t, E = [], []
-    with open(path) as handle:
-        header = handle.readline().strip().split(",")
-        try:
-            it, iE = header.index("t"), header.index("E")
-        except ValueError:
-            raise model.ConfigError(f"{path}: not an energy CSV (header {header})") \
-                from None
-        for ln, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            cells = line.split(",")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            header = handle.readline().strip().split(",")
             try:
-                t_n, E_n = float(cells[it]), float(cells[iE])
-            except (ValueError, IndexError):
-                t_n = E_n = math.nan
-            if not (math.isfinite(t_n) and math.isfinite(E_n) and E_n >= 0.0):
+                it, iE = header.index("t"), header.index("E")
+            except ValueError:
                 raise model.ConfigError(
-                    f"{path}:{ln}: bad energy row '{line.strip()}'")
-            if t and t_n <= t[-1]:
-                raise model.ConfigError(
-                    f"{path}:{ln}: time {_fmt(t_n)} does not increase "
-                    f"(previous row: {_fmt(t[-1])})")
-            t.append(t_n)
-            E.append(E_n)
+                    f"{path}: not an energy CSV (header {header})") from None
+            for ln, line in enumerate(handle, start=2):
+                if not line.strip():
+                    continue
+                cells = line.split(",")
+                try:
+                    t_n, E_n = float(cells[it]), float(cells[iE])
+                except (ValueError, IndexError):
+                    t_n = E_n = math.nan
+                if not (math.isfinite(t_n) and math.isfinite(E_n) and E_n >= 0.0):
+                    raise model.ConfigError(
+                        f"{path}:{ln}: bad energy row '{line.strip()}'")
+                if t and t_n <= t[-1]:
+                    raise model.ConfigError(
+                        f"{path}:{ln}: time {_fmt(t_n)} does not increase "
+                        f"(previous row: {_fmt(t[-1])})")
+                t.append(t_n)
+                E.append(E_n)
+    except UnicodeDecodeError:
+        raise model.ConfigError(f"{path}: not UTF-8 text") from None
     if not t:
         raise model.ConfigError(f"{path}: no data rows")
     return energy_mod.EnergySeries(np.asarray(t), np.asarray(E))
@@ -200,7 +202,7 @@ def _cmd_simulate(args) -> int:
     written = ["energy.csv"]
     for x in config.probe_points:
         name = f"probe_x{x!r}.csv"  # shortest round-trip form, e.g. 0.6
-        write_csv(out / name, "t,u,phi,psi,w", probe_rec.rows(x))
+        write_csv(out / name, "t,u,phi,psi,w", probe_rec.samples[x])
         written.append(name)
     write_csv(out / "snapshots.csv", "x,t,u,phi,psi,w", snap_rec.rows())
     written.append("snapshots.csv")
@@ -271,27 +273,26 @@ def _cmd_eta_check(args) -> int:
     params = model.baseline_params()
     pi = np.pi
     exact = lambda x: np.sin(pi * x)
-    ms = _levels(args.levels)
-
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    # Every level is checked before the first line is printed.
+    meshes = [femesh.UniformMesh(M, params.L) for M in _levels(args.levels)]
+    problem = transform.EtaProblem(
+        theta0=zero,
+        theta1=lambda x: -(params.delta / params.rho3) * pi ** 2 * np.sin(pi * x),
+        phi1=zero, params=params)
+
     print("case 1: delta*eta_xx = rho3*theta1 with theta1 = -(delta/rho3)*pi^2*sin(pi x)")
     print("M,l2_error,order")
     errors = []
-    for M in ms:
-        mesh = femesh.UniformMesh(M, params.L)
-        problem = transform.EtaProblem(
-            theta0=zero,
-            theta1=lambda x: -(params.delta / params.rho3) * pi ** 2 * np.sin(pi * x),
-            phi1=zero, params=params)
-        eta = transform.solve_eta(problem, mesh)
-        err = femesh.l2_error(eta, exact)
+    for mesh in meshes:
+        err = femesh.l2_error(transform.solve_eta(problem, mesh), exact)
         order = "" if not errors else _fmt(np.log2(errors[-1] / err))
         errors.append(err)
-        print(f"{M},{_fmt(err)},{order}")
+        print(f"{mesh.M},{_fmt(err)},{order}")
 
-    mesh = femesh.UniformMesh(ms[-1], params.L)
     eta0 = transform.solve_eta(
-        transform.EtaProblem(theta0=zero, theta1=zero, phi1=zero, params=params), mesh)
+        transform.EtaProblem(theta0=zero, theta1=zero, phi1=zero, params=params),
+        meshes[-1])
     print(f"case 2: zero data -> max|eta| = {_fmt(np.max(np.abs(eta0.values)))}")
     return 0
 

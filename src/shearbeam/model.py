@@ -241,9 +241,11 @@ def parse_config(path: str | Path, overrides: dict[str, str | None] | None = Non
     """
     path = Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
 
     values: dict[str, str] = {}
     for ln, line in enumerate(text.splitlines(), start=1):

@@ -374,12 +374,12 @@ def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
 
 
 class ProbeRecorder:
-    """Pointwise time series of (u, phi, psi, w) at fixed x locations."""
+    """Pointwise time series at fixed x locations: `samples[x]` holds one
+    (t, u, phi, psi, w) row per step."""
 
     def __init__(self, points):
         self.points = tuple(points)
-        self.times: list[float] = []
-        self.samples: dict[float, list[tuple[float, float, float, float]]] = \
+        self.samples: dict[float, list[tuple[float, ...]]] = \
             {x: [] for x in self.points}
         self._mesh: UniformMesh | None = None
         self._cells: list[tuple[int, float]] = []
@@ -391,17 +391,11 @@ class ProbeRecorder:
             self._mesh = state.mesh
             self._cells = [(int(e), float(s)) for e, s in
                            map(state.mesh.locate, self.points)]
-        self.times.append(state.t)
-        s = state._s
+        t, s = state.t, state._s
         for x, (e, frac) in zip(self.points, self._cells):
             lo, hi = s[e].tolist(), s[e + 1].tolist()
             self.samples[x].append(
-                tuple(lo[k] * (1.0 - frac) + hi[k] * frac for k in _OUTPUT))
-
-    def rows(self, x: float):
-        """(t, u, phi, psi, w) rows for one probe point."""
-        for t, vals in zip(self.times, self.samples[x]):
-            yield (t, *vals)
+                (t, *(lo[k] * (1.0 - frac) + hi[k] * frac for k in _OUTPUT)))
 
 
 class SnapshotRecorder:

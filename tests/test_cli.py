@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shearbeam import cli, stepper
+from shearbeam import cli, mms, model, stepper
 from shearbeam.cli import _fmt, main
 from shearbeam.energy import EnergyRecorder
 
@@ -71,6 +71,20 @@ class TestSimulate:
         cli.write_energy_csv(tmp_path / "energy.csv", rec)
         assert (tmp_path / "energy.csv").read_text().splitlines()[1:] == \
             ["0,0,1,0,nan", "1,1,0,-inf,inf", "2,2,-1,-inf,inf"]
+
+    def test_failed_write_leaves_target_untouched(self, tmp_path):
+        path = tmp_path / "table.csv"
+        cli.write_csv(path, "a,b", [(1, 2.5)])
+        before = path.read_bytes()
+
+        def rows():
+            yield (3, 4.5)
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            cli.write_csv(path, "a,b", rows())
+        assert path.read_bytes() == before == b"a,b\n1,2.5\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
 
     def test_byte_determinism(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -144,7 +158,8 @@ class TestErrorPaths:
                                       "repeat-levels", "descending-levels",
                                       "nan-energy", "inf-energy", "nan-time",
                                       "negative-energy", "repeated-time",
-                                      "decreasing-time"])
+                                      "decreasing-time", "non-utf8-config",
+                                      "non-utf8-energy", "eta-levels"])
     def test_bad_input_is_one_line_exit_2(self, case, tmp_path, capsys):
         cfg = tiny_config(tmp_path, **{"T = 0.5": "T = 0.02", "dt = 0.05": "dt = 0.01"})
         energy_csv = tmp_path / "energy.csv"
@@ -167,6 +182,10 @@ class TestErrorPaths:
             rows = [f"{n},{n / 10},{np.exp(-n / 5)}" for n in range(41)]
             rows[30] = bad
             energy_csv.write_text("n,t,E\n" + "\n".join(rows) + "\n")
+        elif case == "non-utf8-config":
+            cfg.write_bytes(b"rho = 1\n\xff\n")
+        elif case == "non-utf8-energy":
+            energy_csv.write_bytes(b"n,t,E\n0,0,1\n1,0.1,\xff\n")
         argv = {"probes": ["simulate", "--config", str(cfg), "--probes", "abc"],
                 "window": ["energy", "--input", str(energy_csv), "--window", "5,10"],
                 "row": ["energy", "--input", str(energy_csv)],
@@ -187,11 +206,15 @@ class TestErrorPaths:
                 "nan-time": ["energy", "--input", str(energy_csv)],
                 "negative-energy": ["energy", "--input", str(energy_csv)],
                 "repeated-time": ["energy", "--input", str(energy_csv)],
-                "decreasing-time": ["energy", "--input", str(energy_csv)]}[case]
+                "decreasing-time": ["energy", "--input", str(energy_csv)],
+                "non-utf8-config": ["simulate", "--config", str(cfg)],
+                "non-utf8-energy": ["energy", "--input", str(energy_csv)],
+                "eta-levels": ["eta-check", "--levels", "1,2"]}[case]
         capsys.readouterr()
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("ConfigError:") and err.count("\n") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ConfigError:") and captured.err.count("\n") == 1
 
     def test_help_exits_zero_and_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -226,6 +249,21 @@ class TestConvergenceCommand:
         loglog = (tmp_path / "error_vs_h_plus_dt.csv").read_text().splitlines()
         assert loglog[0] == "h_plus_dt,error"
         assert "least-squares order" in capsys.readouterr().out
+
+    def test_config_supplies_constants_only(self, tmp_path):
+        # The file's M, dt and T are ignored: the levels, --c and --T rule.
+        cfg = tmp_path / "k100.cfg"
+        cfg.write_text(BASELINE_CFG.read_text().replace("K = 365", "K = 100"))
+        argv = ["convergence", "--levels", "4,8", "--T", "0.1"]
+        first_errors = []
+        for extra, sub in ((["--config", str(cfg)], "file"), ([], "builtin")):
+            assert main(argv + extra + ["--output-dir", str(tmp_path / sub)]) == 0
+            table = (tmp_path / sub / "convergence.csv").read_text().splitlines()
+            first_errors.append(table[1].split(",")[2])
+        params, _ = model.parse_config(cfg)
+        assert first_errors[0] == _fmt(mms.run_level(mms.reference_case(params),
+                                                      4, 0.01, 0.1))
+        assert first_errors[0] != first_errors[1]
 
     def test_bad_levels_is_exit_2(self, tmp_path):
         assert main(["convergence", "--levels", "a,b",

@@ -202,8 +202,8 @@ class TestRun:
         assert final.n == 2000 and final.t == pytest.approx(10.0)
         assert check_monotone(energy_rec.series(), 1e-9) == []
 
-        t = np.array(probe.times)
-        series = np.array(probe.samples[0.6])
+        rows = np.array(probe.samples[0.6])
+        t, series = rows[:, 0], rows[:, 1:]
         for j in range(4):  # u, phi, psi, w all ring down
             early = np.abs(series[t <= 5.0, j]).max()
             late = np.abs(series[t > 5.0, j]).max()
@@ -331,8 +331,8 @@ class TestRun:
         for _ in range(3):
             probe(state)
             for x in points:
-                expected = tuple(float(getattr(state, k).at(x))
-                                 for k in ("u", "phi", "psi", "w"))
+                expected = (state.t, *(float(getattr(state, k).at(x))
+                                       for k in ("u", "phi", "psi", "w")))
                 assert probe.samples[x][-1] == expected
             state = advance(system, state)
 
