@@ -48,6 +48,9 @@ def write_csv(path: Path, header: str, rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
+        umask = os.umask(0)  # os.umask sets the mask; this reads it back
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # open()'s mode, not mkstemp's 0o600
         with os.fdopen(fd, "w") as handle:
             handle.write(header + "\n")
             for row in rows:

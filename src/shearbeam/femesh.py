@@ -167,13 +167,15 @@ def interpolate(f: Callable[[np.ndarray], np.ndarray], mesh: UniformMesh) -> FeF
     return FeFunction(mesh, np.asarray(f(mesh.nodes[1:-1]), dtype=float))
 
 
-def load_vector(f: Callable[[np.ndarray, float], np.ndarray], t: float,
-                mesh: UniformMesh) -> np.ndarray:
-    """Interior entries of (f(., t), v_i) by per-element 3-point Gauss."""
-    fv = np.broadcast_to(np.asarray(f(mesh.quad_x, t), dtype=float),
-                         mesh.quad_x.shape)
-    left = fv @ (mesh.h * _GAUSS_W * (1.0 - _GAUSS_S))
-    right = fv @ (mesh.h * _GAUSS_W * _GAUSS_S)
+def load_vector(mesh: UniformMesh, values_at_quad: np.ndarray) -> np.ndarray:
+    """Interior entries of (f, v_i) by per-element 3-point Gauss from f at
+    `mesh.quad_x`, (M, 3) plus any trailing axes, which the (M-1, ...) result
+    keeps.  Summed elementwise, not by BLAS, so that each trailing slice gets
+    the bits it gets alone."""
+    fv = np.asarray(values_at_quad, dtype=float)
+    wl, wr = mesh.h * _GAUSS_W * (1.0 - _GAUSS_S), mesh.h * _GAUSS_W * _GAUSS_S
+    left = fv[:, 0] * wl[0] + fv[:, 1] * wl[1] + fv[:, 2] * wl[2]
+    right = fv[:, 0] * wr[0] + fv[:, 1] * wr[1] + fv[:, 2] * wr[2]
     return left[1:] + right[:-1]
 
 

@@ -36,8 +36,8 @@ class ManufacturedCase:
 
     The sources are separable: f_i(x, t) = sum_k g(x)[..., i, k] * tau(t)[k],
     with `g` mapping points x to x.shape + (4, K) and `tau` a time to K
-    values.  `stepper.run` assembles the load vector of each g_ik once per
-    mesh and combines them with tau at every step.
+    values; `g(x) @ tau(t)` gives f1..f4 as a trailing axis.  `stepper.run`
+    assembles all the g_ik in one call per mesh, weighted by tau each step.
     """
 
     params: PhysicalParams
@@ -54,22 +54,6 @@ class ManufacturedCase:
     w_x: SpaceTimeField
     g: Callable[[np.ndarray], np.ndarray]
     tau: Callable[[float], np.ndarray]
-
-    def source(self, i: int, x, t) -> np.ndarray:
-        """f_{i+1}(x, t), from the separable form."""
-        return self.g(x)[..., i, :] @ self.tau(t)
-
-    def f1(self, x, t):
-        return self.source(0, x, t)
-
-    def f2(self, x, t):
-        return self.source(1, x, t)
-
-    def f3(self, x, t):
-        return self.source(2, x, t)
-
-    def f4(self, x, t):
-        return self.source(3, x, t)
 
 
 def reference_case(params: PhysicalParams | None = None) -> ManufacturedCase:

@@ -178,13 +178,16 @@ def validate(params: PhysicalParams,
     return params, config
 
 
-def validate_initial_data(init: InitialData, L: float, atol: float = 1e-9) -> InitialData:
-    """Check that all seven initial functions vanish at both endpoints
-    (a NaN there is rejected as well)."""
+_ENDPOINT_ATOL = 1e-9  # largest |f(0)|, |f(L)| that counts as vanishing
+
+
+def validate_initial_data(init: InitialData, L: float) -> InitialData:
+    """Check that all seven initial functions vanish at both endpoints, to
+    _ENDPOINT_ATOL (a NaN there is rejected as well)."""
     ends = np.array([0.0, L])
     for name in ("u0", "u1", "phi0", "phi1", "psi0", "w0", "w1"):
         vals = np.asarray(getattr(init, name)(ends), dtype=float)
-        if not np.max(np.abs(vals)) <= atol:  # NaN fails too
+        if not np.max(np.abs(vals)) <= _ENDPOINT_ATOL:  # NaN fails too
             raise ValidationError(
                 f"initial function {name} does not vanish at the endpoints "
                 f"(|{name}(0)|={abs(vals[0]):.2e}, |{name}(L)|={abs(vals[1]):.2e})")

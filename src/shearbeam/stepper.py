@@ -45,8 +45,8 @@ dt) by LAPACK's dgbtrf, then solved by dgbtrs; both come from scipy's
 LAPACK extension through `_lapack`, which loads it without importing the
 rest of scipy.  Its stencil checks the residual of every solve.  Optional sources
 f_i(x, t) = sum_k g_ik(x) tau_k(t) enter at the new time level, matching
-the backward-Euler character of the scheme: the load vectors of the g_ik
-are assembled once per mesh, and each step weights them by tau(t_n).
+the backward-Euler character of the scheme: the load vectors of all g_ik
+are assembled in one call per mesh, and each step weights them by tau(t_n).
 The discrete energy is the quadratic form 1/2 s.(E s) with one 24x8
 stencil E (`discrete_energy`).
 """
@@ -86,6 +86,11 @@ def _windows(v: np.ndarray) -> np.ndarray:
     return np.ndarray((v.shape[0] - 2, 3 * v.shape[1]), v.dtype, v, 0, v.strides)
 
 
+def _column(col: int, doc: str | None = None) -> property:
+    """A state's field: a `FeFunction` view of one column's interior rows."""
+    return property(lambda self: FeFunction(self.mesh, self._s[1:-1, col]), doc=doc)
+
+
 class State:
     """The seven discrete fields at one time level.
 
@@ -110,36 +115,13 @@ class State:
         state.mesh, state._s, state.t, state.n = mesh, s, t, n
         return state
 
-    @property
-    def u(self) -> FeFunction:
-        return FeFunction(self.mesh, self._s[1:-1, _U])
-
-    @property
-    def phi(self) -> FeFunction:
-        return FeFunction(self.mesh, self._s[1:-1, _DPHI])
-
-    @property
-    def psi(self) -> FeFunction:
-        return FeFunction(self.mesh, self._s[1:-1, _PSI])
-
-    @property
-    def w(self) -> FeFunction:
-        return FeFunction(self.mesh, self._s[1:-1, _W])
-
-    @property
-    def xi(self) -> FeFunction:
-        """u_t"""
-        return FeFunction(self.mesh, self._s[1:-1, _XI])
-
-    @property
-    def Phi(self) -> FeFunction:
-        """phi_t"""
-        return FeFunction(self.mesh, self._s[1:-1, _PHI])
-
-    @property
-    def vartheta(self) -> FeFunction:
-        """w_t, the temperature"""
-        return FeFunction(self.mesh, self._s[1:-1, _VTH])
+    u = _column(_U)
+    phi = _column(_DPHI)
+    psi = _column(_PSI)
+    w = _column(_W)
+    xi = _column(_XI, "u_t")
+    Phi = _column(_PHI, "phi_t")
+    vartheta = _column(_VTH, "w_t, the temperature")
 
     def __repr__(self) -> str:
         return f"State(mesh={self.mesh!r}, t={self.t!r}, n={self.n!r})"
@@ -223,7 +205,6 @@ class BlockSystem:
     """
 
     def __init__(self, params: PhysicalParams, mesh: UniformMesh, dt: float):
-        self.params = params
         self.mesh = mesh
         self.dt = float(dt)
         self.n_unknowns = 4 * mesh.n_interior
@@ -296,12 +277,12 @@ def assemble(params: PhysicalParams, mesh: UniformMesh, dt: float) -> BlockSyste
 
 
 def advance(system: BlockSystem, state: State, loads=None) -> State:
-    """One implicit step.  `loads` are the assembled sources at the new time
-    level: the four vectors f1..f4, or a node-major (M-1, 4) array."""
+    """One implicit step.  `loads`, when given, are the assembled sources at
+    the new time level as a node-major (M-1, 4) array."""
     s = state._s
     rhs = _windows(s) @ system._R
     if loads is not None:
-        rhs += loads if isinstance(loads, np.ndarray) else np.stack(loads, axis=1)
+        rhs += loads
 
     x_new = np.zeros((s.shape[0], 4))
     x_new[1:-1] = system.solve(rhs.ravel()).reshape(-1, 4)
@@ -322,19 +303,6 @@ def advance(system: BlockSystem, state: State, loads=None) -> State:
     s_new[:, _SPRING] = s_new[:, _DPHI] - s_new[:, _U]
     n = state.n + 1
     return State._from_array(system.mesh, s_new, n * system.dt, n)
-
-
-def _spatial_loads(g, mesh: UniformMesh) -> np.ndarray:
-    """The load vectors of the spatial source factors g_ik as one
-    (4(M-1), K) array whose row 4j + i is field i at interior node j, so
-    that one matrix-vector product with tau(t) gives a step's node-major
-    loads (the same product on an (M-1, 4, K) array is 5x slower)."""
-    gq = g(mesh.quad_x)  # where `load_vector` samples f
-    fields, K = gq.shape[-2:]
-    out = np.empty((mesh.n_interior, fields, K))
-    for i, k in np.ndindex(fields, K):
-        out[:, i, k] = load_vector(lambda x, t: gq[..., i, k], 0.0, mesh)
-    return out.reshape(-1, K)
 
 
 def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
@@ -359,7 +327,11 @@ def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
     for obs in observers:
         obs(state)
 
-    spatial = None if sources is None else _spatial_loads(sources.g, mesh)
+    # Row 4j + i of the (4(M-1), K) loads of the g_ik is field i at node j,
+    # so one product with tau(t) gives a step's node-major loads (the same
+    # product on the (M-1, 4, K) array is 5x slower).
+    spatial = None if sources is None else load_vector(
+        mesh, sources.g(mesh.quad_x)).reshape(4 * mesh.n_interior, -1)
     loads = None
     for k in range(1, num_steps(config) + 1):
         if spatial is not None:

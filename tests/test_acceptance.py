@@ -172,7 +172,7 @@ def test_criterion_8_source_term_validation():
     rng = np.random.default_rng(81)
     worst = 0.0
     for x, t in zip(rng.uniform(0.05, 0.95, 20), rng.uniform(0.05, 1.2, 20)):
-        exact = (case.f1(x, t), case.f2(x, t), case.f3(x, t), case.f4(x, t))
+        exact = case.g(x) @ case.tau(t)
         approx = fd_sources(case, x, t)
         worst = max(worst, max(abs(a - b) / max(abs(a), 1.0)
                                for a, b in zip(exact, approx)))

@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -85,6 +87,20 @@ class TestSimulate:
             cli.write_csv(path, "a,b", rows())
         assert path.read_bytes() == before == b"a,b\n1,2.5\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_csv_mode_follows_umask(self, tmp_path, umask, mode):
+        # the mode a plain open() gives a new file, not mkstemp's 0o600
+        cfg = tiny_config(tmp_path)
+        old = os.umask(umask)
+        try:
+            assert main(["simulate", "--config", str(cfg)]) == 0
+        finally:
+            os.umask(old)
+        csvs = list((tmp_path / "out").iterdir())
+        assert len(csvs) == 3
+        assert all(stat.S_IMODE(p.stat().st_mode) == mode for p in csvs)
 
     def test_byte_determinism(self, tmp_path):
         cfg = tiny_config(tmp_path)

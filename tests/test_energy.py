@@ -128,8 +128,8 @@ def worst_budget_residual(params, config, init, sources=None):
         numerical = reference_energy({k: b[k] - a[k] for k in FIELDS}, mesh, p)
         work = 0.0
         if sources is not None:
-            f1, f2, f3, f4 = (load_vector(f, curr.t, mesh) for f in
-                              (sources.f1, sources.f2, sources.f3, sources.f4))
+            f1, f2, f3, f4 = load_vector(
+                mesh, sources.g(mesh.quad_x) @ sources.tau(curr.t)).T
             work = (dt * (f1 @ b["xi"] + f2 @ b["Phi"] + f4 @ b["vartheta"])
                     + f3 @ (b["psi"] - a["psi"]))
         e_prev = discrete_energy(prev, p)

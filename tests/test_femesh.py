@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from shearbeam.femesh import (FeFunction, UniformMesh, build_gradient,
                               build_mass, build_stiffness, interpolate,
@@ -108,18 +108,29 @@ class TestInterpolation:
 
 class TestLoadVector:
     def test_zero(self):
-        f = load_vector(lambda x, t: 0.0 * x, 0.0, UniformMesh(6, 1.0))
+        f = load_vector(UniformMesh(6, 1.0), np.zeros((6, 3)))
         assert np.all(f == 0.0)
 
     def test_constant_one(self):
         mesh = UniformMesh(6, 1.0)
-        f = load_vector(lambda x, t: np.ones_like(x), 0.0, mesh)
+        f = load_vector(mesh, np.ones_like(mesh.quad_x))
         assert_allclose(f, mesh.h, rtol=1e-14)
 
     def test_linear(self):
         mesh = UniformMesh(4, 1.0)
-        f = load_vector(lambda x, t: x, 0.0, mesh)
+        f = load_vector(mesh, mesh.quad_x)
         assert_allclose(f, mesh.h * mesh.nodes[1:-1], rtol=1e-14)
+
+    @pytest.mark.parametrize("M", [2, 40])
+    def test_trailing_axes_match_slice_by_slice(self, M):
+        # the run assembles every g_ik in one call: each trailing slice must
+        # get the bits it would get alone
+        mesh = UniformMesh(M, 1.0)
+        values = np.random.default_rng(M).normal(size=(M, 3, 4, 3))
+        f = load_vector(mesh, values)
+        assert f.shape == (M - 1, 4, 3)
+        for i, k in np.ndindex(4, 3):
+            assert_array_equal(f[:, i, k], load_vector(mesh, values[:, :, i, k]))
 
 
 @settings(max_examples=25, deadline=None)

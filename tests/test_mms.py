@@ -25,14 +25,14 @@ class TestSources:
         expected = (-p.b * np.exp(t) * d2
                     + p.K * (np.exp(t) * PI * np.cos(PI * x)
                              + np.exp(t) * x * np.cos(0.5 * PI * x)))
-        assert_allclose(CASE.f3(x, t), expected, rtol=1e-13)
+        assert_allclose((CASE.g(x) @ CASE.tau(t))[:, 2], expected, rtol=1e-13)
 
     def test_sources_match_finite_difference_oracle(self):
         rng = np.random.default_rng(123)
         xs = rng.uniform(0.05, 0.95, size=20)
         ts = rng.uniform(0.05, 1.2, size=20)
         for x, t in zip(xs, ts):
-            exact = (CASE.f1(x, t), CASE.f2(x, t), CASE.f3(x, t), CASE.f4(x, t))
+            exact = CASE.g(x) @ CASE.tau(t)
             approx = fd_sources(CASE, x, t)
             for a, b in zip(exact, approx):
                 assert abs(a - b) <= 1e-5 * max(abs(a), 1.0)

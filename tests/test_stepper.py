@@ -108,7 +108,7 @@ class TestAdvance:
                 "xi": state.xi.values, "Phi": state.Phi.values,
                 "vartheta": state.vartheta.values}
         expected = dense_step_oracle(PARAMS, mesh, dt, prev, loads)
-        got = advance(system, state, loads)
+        got = advance(system, state, np.column_stack(loads))
         for name in ("xi", "Phi", "psi", "vartheta", "u", "phi", "w"):
             assert_allclose(getattr(got, name).values, expected[name],
                             rtol=1e-12, atol=1e-12)
@@ -144,8 +144,7 @@ class TestAdvance:
         state = initial_state(initial_data(case), mesh)
         e0 = error_norm(state, case, 0.0)
         system = assemble(case.params, mesh, dt)
-        loads = tuple(load_vector(f, dt, mesh)
-                      for f in (case.f1, case.f2, case.f3, case.f4))
+        loads = load_vector(mesh, case.g(mesh.quad_x) @ case.tau(dt))
         state = advance(system, state, loads)
         assert error_norm(state, case, dt) <= 1.05 * e0
 
@@ -281,8 +280,7 @@ class TestRun:
         system = assemble(case.params, mesh, config.dt)
         state = initial_state(initial_data(case), mesh)
         for k in range(1, 21):
-            loads = tuple(load_vector(f, k * config.dt, mesh)
-                          for f in (case.f1, case.f2, case.f3, case.f4))
+            loads = load_vector(mesh, case.g(mesh.quad_x) @ case.tau(k * config.dt))
             state = advance(system, state, loads)
         assert final.n == state.n == 20
         for name in ("u", "phi", "psi", "w", "xi", "Phi", "vartheta"):
