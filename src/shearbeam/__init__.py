@@ -7,8 +7,7 @@ from .model import (ConfigError, DegenerateWindow, InitialData, InvalidMesh,
                     PhysicalParams, SimulationConfig, SingularSystem,
                     SolverFailure, ValidationError,
                     baseline_params, parse_config, sine_initial_data, validate)
-from .femesh import (FeFunction, TriDiag, UniformMesh, build_gradient,
-                     build_mass, build_stiffness, interpolate, l2_error,
+from .femesh import (FeFunction, TriDiag, UniformMesh, interpolate, l2_error,
                      load_vector)
 from .transform import EtaProblem, solve_eta
 from .stepper import (BlockSystem, ProbeRecorder, SnapshotRecorder, State,

@@ -11,7 +11,7 @@ Subcommands:
 All CSV files are written atomically (temp file + rename) with a fixed
 17-significant-digit float format, so repeated runs with identical inputs
 produce byte-identical outputs.  Exit codes: 0 success, 2 configuration
-error, 3 I/O error, 4 solver failure.
+error (a run too large for memory included), 3 I/O error, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -315,6 +315,10 @@ def main(argv=None) -> int:
     except (model.SolverFailure, model.SingularSystem) as exc:
         print(f"SolverFailure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"ConfigError: not enough memory for this run{detail}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

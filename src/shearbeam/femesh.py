@@ -1,22 +1,25 @@
-"""Uniform 1D mesh, P1 elements, element matrices, interpolation, quadrature.
+"""Uniform 1D mesh, P1 elements, operator stencils, interpolation, Gauss
+sampling and quadrature.
 
 Functions in the discrete space are continuous, piecewise affine, and vanish
 at both endpoints, so a `FeFunction` stores only the M-1 interior nodal
 values.  On the uniform mesh the three bilinear forms reduce to tridiagonal
-matrices with constant diagonals:
+matrices with constant diagonals, whose (sub, main, super) `stencils` are
 
     mass       (v_j , v_i)   : diag 2h/3, off  h/6
     stiffness  (v_j', v_i')  : diag 2/h,  off -1/h
     gradient   (v_j', v_i )  : diag 0,    super +1/2, sub -1/2
 
-The gradient matrix is antisymmetric (integration by parts with zero
-boundary terms), which is what makes the thermoelastic coupling terms
-cancel in the discrete energy balance.
+and `toeplitz` builds any of them as a `TriDiag`.  The gradient matrix is
+antisymmetric (integration by parts with zero boundary terms), which is
+what makes the thermoelastic coupling terms cancel in the discrete energy
+balance.
 
 Element integrals that involve arbitrary functions (load vectors, errors
 against closed-form solutions) use a 3-point Gauss rule per element, exact
 through degree 5, so quadrature error is asymptotically negligible next to
-the O(h + dt) error of the time stepper.
+the O(h + dt) error of the time stepper.  `at_quad` samples a whole padded
+node-major array of P1 fields at those points in one call.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import InvalidMesh
+from .model import InvalidMesh, ValidationError
 
 # 3-point Gauss-Legendre rule mapped to the reference element [0, 1].
 _GAUSS_S = 0.5 + 0.5 * np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
@@ -87,19 +90,6 @@ class FeFunction:
         full = self.with_boundary()
         return full[e] * (1.0 - s) + full[e + 1] * s
 
-    def element_slopes(self) -> np.ndarray:
-        """The (piecewise-constant) derivative, one value per element."""
-        full = self.with_boundary()
-        return (full[1:] - full[:-1]) / self.mesh.h
-
-    def at_quad(self) -> np.ndarray:
-        """Values at the per-element Gauss points, shape (M, 3)."""
-        full = self.with_boundary()
-        return full[:-1, None] * (1.0 - _GAUSS_S) + full[1:, None] * _GAUSS_S
-
-    def __sub__(self, other: "FeFunction") -> "FeFunction":
-        return FeFunction(self.mesh, self.values - other.values)
-
 
 @dataclass
 class TriDiag:
@@ -141,22 +131,6 @@ def toeplitz(n: int, stencil) -> TriDiag:
     return TriDiag(np.full(n, main), np.full(n - 1, sub), np.full(n - 1, sup))
 
 
-def build_mass(mesh: UniformMesh) -> TriDiag:
-    """Matrix of (v_j, v_i) over interior hat functions."""
-    return toeplitz(mesh.n_interior, stencils(mesh.h)[0])
-
-
-def build_stiffness(mesh: UniformMesh) -> TriDiag:
-    """Matrix of (v_j', v_i')."""
-    return toeplitz(mesh.n_interior, stencils(mesh.h)[1])
-
-
-def build_gradient(mesh: UniformMesh) -> TriDiag:
-    """Matrix of (v_j', v_i); antisymmetric, so its transpose represents
-    the integrated-by-parts form (v_j, v_i') with the sign flipped."""
-    return toeplitz(mesh.n_interior, stencils(mesh.h)[2])
-
-
 def interpolate(f: Callable[[np.ndarray], np.ndarray], mesh: UniformMesh) -> FeFunction:
     """Nodal interpolant of f (which must vanish at 0 and L).
 
@@ -165,6 +139,26 @@ def interpolate(f: Callable[[np.ndarray], np.ndarray], mesh: UniformMesh) -> FeF
     nodal values; no solve is needed.
     """
     return FeFunction(mesh, np.asarray(f(mesh.nodes[1:-1]), dtype=float))
+
+
+def interpolate_fields(source, names, mesh: UniformMesh) -> list[FeFunction]:
+    """Nodal interpolants of the callables `source.<name>` for each name.
+    Raises ValidationError naming the first field with a non-finite sample."""
+    fields = [interpolate(getattr(source, name), mesh) for name in names]
+    for name, f in zip(names, fields):
+        if not np.isfinite(f.values).all():
+            raise ValidationError(
+                f"initial function {name} is not finite at every interior node")
+    return fields
+
+
+def at_quad(nodal: np.ndarray) -> np.ndarray:
+    """Values at the per-element Gauss points of the P1 functions with the
+    given nodal values, boundary nodes included: (M+1, ...) node-major in,
+    (M, 3, ...) out, the trailing axes kept."""
+    v = np.asarray(nodal, dtype=float)
+    # One 2-D product per Gauss point: numpy buffers a 3-D broadcast.
+    return np.stack([v[:-1] * (1.0 - s) + v[1:] * s for s in _GAUSS_S], axis=1)
 
 
 def load_vector(mesh: UniformMesh, values_at_quad: np.ndarray) -> np.ndarray:
@@ -187,5 +181,5 @@ def integrate(mesh: UniformMesh, values_at_quad: np.ndarray) -> float:
 def l2_error(v: FeFunction, exact: Callable[[np.ndarray], np.ndarray]) -> float:
     """L2 distance between a P1 function and a closed-form function,
     integrated with the per-element Gauss rule."""
-    diff = v.at_quad() - exact(v.mesh.quad_x)
+    diff = at_quad(v.with_boundary()) - exact(v.mesh.quad_x)
     return float(np.sqrt(max(integrate(v.mesh, diff ** 2), 0.0)))

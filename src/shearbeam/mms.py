@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from . import stepper
-from .femesh import integrate
+from .femesh import at_quad, integrate
 from .model import (InitialData, PhysicalParams, SimulationConfig,
                     baseline_params)
 
@@ -145,22 +145,24 @@ def initial_data(case: ManufacturedCase) -> InitialData:
 
 def error_norm(state: stepper.State, case: ManufacturedCase, t: float) -> float:
     """Composite error of a state against the exact solution at time t."""
-    mesh = state.u.mesh
+    s, mesh = state._s, state.mesh
     xq = mesh.quad_x
-    broadcast = lambda slopes: slopes[:, None]
+    # Gauss values (M, 3, 8) and element slopes (M, 1, 8) of every column.
+    q = at_quad(s)
+    dx = np.diff(s, axis=0)[:, None] / mesh.h
 
-    diffs = (
-        state.xi.at_quad() - case.u_t(xq, t),
-        broadcast(state.u.element_slopes()) - case.u_x(xq, t),
-        (state.phi - state.u).at_quad() - (case.phi(xq, t) - case.u(xq, t)),
-        state.Phi.at_quad() - case.phi_t(xq, t),
-        broadcast(state.phi.element_slopes()) + state.psi.at_quad()
-        - (case.phi_x(xq, t) + case.psi(xq, t)),
-        broadcast(state.psi.element_slopes()) - case.psi_x(xq, t),
-        state.vartheta.at_quad() - case.w_t(xq, t),
-        broadcast(state.w.element_slopes()) - case.w_x(xq, t),
-    )
-    total = sum(integrate(mesh, np.broadcast_to(d, xq.shape) ** 2) for d in diffs)
+    def diffs():  # one at a time, so that only one is held
+        yield q[..., stepper._XI] - case.u_t(xq, t)
+        yield dx[..., stepper._U] - case.u_x(xq, t)
+        yield q[..., stepper._SPRING] - (case.phi(xq, t) - case.u(xq, t))
+        yield q[..., stepper._PHI] - case.phi_t(xq, t)
+        yield ((dx[..., stepper._DPHI] + q[..., stepper._PSI])
+               - (case.phi_x(xq, t) + case.psi(xq, t)))
+        yield dx[..., stepper._PSI] - case.psi_x(xq, t)
+        yield q[..., stepper._VTH] - case.w_t(xq, t)
+        yield dx[..., stepper._W] - case.w_x(xq, t)
+
+    total = sum(integrate(mesh, np.broadcast_to(d, xq.shape) ** 2) for d in diffs())
     return float(np.sqrt(total))
 
 

@@ -59,7 +59,8 @@ import math
 import numpy as np
 
 from ._lapack import lapack
-from .femesh import FeFunction, UniformMesh, interpolate, load_vector, stencils
+from .femesh import (FeFunction, UniformMesh, interpolate_fields, load_vector,
+                     stencils)
 from .model import (InitialData, PhysicalParams, SimulationConfig,
                     SingularSystem, SolverFailure, ValidationError, num_steps,
                     validate, validate_initial_data)
@@ -106,7 +107,8 @@ class State:
         self.mesh, self.t, self.n = u.mesh, t, n
         self._s = np.zeros((u.mesh.M + 1, 8))
         self._s[1:-1] = np.column_stack(
-            [f.values for f in (xi, Phi, psi, vartheta, u, phi, phi - u, w)])
+            [f.values for f in (xi, Phi, psi, vartheta, u, phi)]
+            + [phi.values - u.values, w.values])
 
     @classmethod
     def _from_array(cls, mesh: UniformMesh, s: np.ndarray, t: float,
@@ -132,12 +134,7 @@ def initial_state(init: InitialData, mesh: UniformMesh) -> State:
     ValidationError naming the initial function when a sample is not
     finite."""
     names = ("u0", "phi0", "psi0", "w0", "u1", "phi1", "w1")
-    fields = [interpolate(getattr(init, name), mesh) for name in names]
-    for name, f in zip(names, fields):
-        if not np.isfinite(f.values).all():
-            raise ValidationError(
-                f"initial function {name} is not finite at every interior node")
-    return State(*fields, t=0.0, n=0)
+    return State(*interpolate_fields(init, names, mesh), t=0.0, n=0)
 
 
 def _block_stencil(blocks: dict, width: int = 4, rows: int = 4) -> np.ndarray:
@@ -211,32 +208,38 @@ class BlockSystem:
 
         p, n = params, mesh.n_interior
         mass, stiff, grad = stencils(mesh.h)
-        a_blocks = {
-            (_XI, _XI): (p.rho / dt + p.mu + p.lam * dt) * mass
-                        + (p.alpha * dt) * stiff,
-            (_XI, _PHI): (-p.lam * dt) * mass,
-            (_PHI, _XI): (-p.lam * dt) * mass,
-            (_PHI, _PHI): (p.rho1 / dt + p.gamma + p.lam * dt) * mass
-                          + (p.K * dt) * stiff,
-            (_PHI, _PSI): p.K * grad[::-1],  # the transposed gradient
-            (_PHI, _VTH): p.beta * grad,
-            (_PSI, _PHI): (p.K * dt) * grad,
-            (_PSI, _PSI): p.b * stiff + p.K * mass,
-            (_VTH, _PHI): p.beta * grad,
-            (_VTH, _VTH): (p.rho3 / dt) * mass + (p.kappa + p.delta * dt) * stiff,
-        }
-        self._A = _block_stencil(a_blocks)
-        self._R = _block_stencil({
-            (_XI, _XI): (p.rho / dt) * mass,
-            (_XI, _U): -p.alpha * stiff,
-            (_XI, _SPRING): p.lam * mass,
-            (_PHI, _PHI): (p.rho1 / dt) * mass,
-            (_PHI, _DPHI): -p.K * stiff,
-            (_PHI, _SPRING): -p.lam * mass,
-            (_PSI, _DPHI): -p.K * grad,
-            (_VTH, _VTH): (p.rho3 / dt) * mass,
-            (_VTH, _W): -p.delta * stiff,
-        }, width=8)
+        # Overflow from huge parameters is reported once, below, not as a
+        # warning per block.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_blocks = {
+                (_XI, _XI): (p.rho / dt + p.mu + p.lam * dt) * mass
+                            + (p.alpha * dt) * stiff,
+                (_XI, _PHI): (-p.lam * dt) * mass,
+                (_PHI, _XI): (-p.lam * dt) * mass,
+                (_PHI, _PHI): (p.rho1 / dt + p.gamma + p.lam * dt) * mass
+                              + (p.K * dt) * stiff,
+                (_PHI, _PSI): p.K * grad[::-1],  # the transposed gradient
+                (_PHI, _VTH): p.beta * grad,
+                (_PSI, _PHI): (p.K * dt) * grad,
+                (_PSI, _PSI): p.b * stiff + p.K * mass,
+                (_VTH, _PHI): p.beta * grad,
+                (_VTH, _VTH): (p.rho3 / dt) * mass + (p.kappa + p.delta * dt) * stiff,
+            }
+            self._A = _block_stencil(a_blocks)
+            self._R = _block_stencil({
+                (_XI, _XI): (p.rho / dt) * mass,
+                (_XI, _U): -p.alpha * stiff,
+                (_XI, _SPRING): p.lam * mass,
+                (_PHI, _PHI): (p.rho1 / dt) * mass,
+                (_PHI, _DPHI): -p.K * stiff,
+                (_PHI, _SPRING): -p.lam * mass,
+                (_PSI, _DPHI): -p.K * grad,
+                (_VTH, _VTH): (p.rho3 / dt) * mass,
+                (_VTH, _W): -p.delta * stiff,
+            }, width=8)
+        if not (np.isfinite(self._A).all() and np.isfinite(self._R).all()):
+            raise ValidationError(
+                f"step operators are not finite ({params!r}, dt={dt!r})")
         # Maps the new unknowns x to (x, dt*x) in the state's columns.
         self._update = np.hstack([np.eye(4), self.dt * np.eye(4)])
 

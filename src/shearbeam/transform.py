@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import lapack
-from .femesh import (FeFunction, UniformMesh, build_gradient, build_mass,
-                     build_stiffness, interpolate, stencils)
+from .femesh import (FeFunction, UniformMesh, interpolate_fields, stencils,
+                     toeplitz)
 from .model import (PhysicalParams, ScalarField, SingularSystem,
                     ValidationError)
 
@@ -52,22 +52,15 @@ def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> FeFunction:
     ValidationError naming the field when a sample of theta0, theta1 or
     phi1 is not finite, and when the matrix or right-hand side is not."""
     p = problem.params
-    fields = {name: interpolate(getattr(problem, name), mesh)
-              for name in ("theta0", "theta1", "phi1")}
-    for name, f in fields.items():
-        if not np.isfinite(f.values).all():
-            raise ValidationError(
-                f"initial function {name} is not finite at every interior node")
-
-    mass = build_mass(mesh)
-    stiff = build_stiffness(mesh)
-    grad = build_gradient(mesh)
+    theta0, theta1, phi1 = interpolate_fields(
+        problem, ("theta0", "theta1", "phi1"), mesh)
+    mass, stiff, grad = (toeplitz(mesh.n_interior, s) for s in stencils(mesh.h))
 
     # beta*(phi1, v_x) contributes through the transposed gradient matrix,
     # which equals -grad by antisymmetry.
-    rhs = (-p.rho3 * mass.matvec(fields["theta1"].values)
-           - p.kappa * stiff.matvec(fields["theta0"].values)
-           - p.beta * grad.matvec(fields["phi1"].values))
+    rhs = (-p.rho3 * mass.matvec(theta1.values)
+           - p.kappa * stiff.matvec(theta0.values)
+           - p.beta * grad.matvec(phi1.values))
     if not np.isfinite(rhs).all():
         raise ValidationError("offset right-hand side is not finite")
 

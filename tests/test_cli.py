@@ -175,7 +175,8 @@ class TestErrorPaths:
                                       "nan-energy", "inf-energy", "nan-time",
                                       "negative-energy", "repeated-time",
                                       "decreasing-time", "non-utf8-config",
-                                      "non-utf8-energy", "eta-levels"])
+                                      "non-utf8-energy", "eta-levels",
+                                      "K-overflow"])
     def test_bad_input_is_one_line_exit_2(self, case, tmp_path, capsys):
         cfg = tiny_config(tmp_path, **{"T = 0.5": "T = 0.02", "dt = 0.05": "dt = 0.01"})
         energy_csv = tmp_path / "energy.csv"
@@ -225,12 +226,21 @@ class TestErrorPaths:
                 "decreasing-time": ["energy", "--input", str(energy_csv)],
                 "non-utf8-config": ["simulate", "--config", str(cfg)],
                 "non-utf8-energy": ["energy", "--input", str(energy_csv)],
-                "eta-levels": ["eta-check", "--levels", "1,2"]}[case]
+                "eta-levels": ["eta-check", "--levels", "1,2"],
+                "K-overflow": ["simulate", "--config", str(cfg), "--K", "1e308"]}[case]
         capsys.readouterr()
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("ConfigError:") and captured.err.count("\n") == 1
+
+    def test_out_of_memory_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch):
+        def run(*args, **kwargs):
+            raise MemoryError("Unable to allocate 179. GiB for an array")
+        monkeypatch.setattr(stepper, "run", run)
+        assert main(["simulate", "--config", str(tiny_config(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigError: not enough memory") and err.count("\n") == 1
 
     def test_help_exits_zero_and_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

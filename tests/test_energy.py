@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 
 from shearbeam.energy import (EnergySeries, check_monotone, discrete_energy,
                               fit_decay, neg_log_over_t)
-from shearbeam.femesh import (FeFunction, UniformMesh, build_gradient, build_mass,
-                              build_stiffness, load_vector)
+from shearbeam.femesh import (FeFunction, UniformMesh, load_vector, stencils,
+                              toeplitz)
 from shearbeam.mms import initial_data, reference_case
 from shearbeam.model import (DegenerateWindow, PhysicalParams, SimulationConfig,
                              baseline_params, sine_initial_data)
@@ -80,7 +80,7 @@ def fields(state):
 def reference_energy(f, mesh, p):
     """The energy formula term by term with femesh's TriDiag matrices,
     independent of the stepper's stencils; f maps FIELDS to nodal values."""
-    mass, stiff, grad = build_mass(mesh), build_stiffness(mesh), build_gradient(mesh)
+    mass, stiff, grad = (toeplitz(mesh.n_interior, s) for s in stencils(mesh.h))
     u, phi, psi = f["u"], f["phi"], f["psi"]
     # |phi_x + psi|^2 = phi^T S phi + 2 psi^T G phi + psi^T M psi
     shear = stiff.quad(phi) + 2.0 * grad.quad(psi, phi) + mass.quad(psi)
@@ -119,7 +119,7 @@ def worst_budget_residual(params, config, init, sources=None):
     states = []
     run(params, config, init, sources=sources, observers=(states.append,))
     mesh, p, dt = states[0].mesh, params, config.dt
-    mass, stiff = build_mass(mesh), build_stiffness(mesh)
+    mass, stiff, _ = (toeplitz(mesh.n_interior, s) for s in stencils(mesh.h))
     worst = 0.0
     for prev, curr in zip(states, states[1:]):
         a, b = fields(prev), fields(curr)

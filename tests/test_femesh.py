@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from shearbeam.femesh import (FeFunction, UniformMesh, build_gradient,
-                              build_mass, build_stiffness, interpolate,
-                              l2_error, load_vector)
+from shearbeam.femesh import (FeFunction, UniformMesh, at_quad, interpolate,
+                              l2_error, load_vector, stencils, toeplitz)
 from shearbeam.model import InvalidMesh
 
 from oracles import quadrature_matrices
 
 PI = np.pi
+MASS, STIFF, GRAD = range(3)
+
+
+def tridiag(mesh, k):
+    """The mass, stiffness or gradient matrix of a mesh: stencil k."""
+    return toeplitz(mesh.n_interior, stencils(mesh.h)[k])
 
 
 def entrywise_close(dense, oracle, rtol=1e-12):
@@ -20,21 +25,21 @@ def entrywise_close(dense, oracle, rtol=1e-12):
 
 class TestElementMatrices:
     def test_mass_closed_form(self):
-        m2 = build_mass(UniformMesh(2, 1.0))
+        m2 = tridiag(UniformMesh(2, 1.0), MASS)
         assert_allclose(m2.main, [1.0 / 3.0], rtol=1e-15)
-        m4 = build_mass(UniformMesh(4, 1.0))
+        m4 = tridiag(UniformMesh(4, 1.0), MASS)
         assert_allclose(m4.main, 1.0 / 6.0, rtol=1e-15)
         assert_allclose(m4.upper, 1.0 / 24.0, rtol=1e-15)
 
     def test_stiffness_closed_form(self):
-        s2 = build_stiffness(UniformMesh(2, 1.0))
+        s2 = tridiag(UniformMesh(2, 1.0), STIFF)
         assert_allclose(s2.main, [4.0], rtol=1e-15)
-        s4 = build_stiffness(UniformMesh(4, 1.0))
+        s4 = tridiag(UniformMesh(4, 1.0), STIFF)
         assert_allclose(s4.main, 8.0, rtol=1e-15)
         assert_allclose(s4.lower, -4.0, rtol=1e-15)
 
     def test_gradient_pattern(self):
-        g4 = build_gradient(UniformMesh(4, 1.0))
+        g4 = tridiag(UniformMesh(4, 1.0), GRAD)
         assert_allclose(g4.main, 0.0)
         assert_allclose(g4.upper, 0.5)
         assert_allclose(g4.lower, -0.5)
@@ -43,20 +48,20 @@ class TestElementMatrices:
     def test_matrices_match_quadrature_oracle(self, M):
         mesh = UniformMesh(M, 1.0)
         mass_q, stiff_q, grad_q, _ = quadrature_matrices(mesh)
-        entrywise_close(build_mass(mesh).toarray(), mass_q)
-        entrywise_close(build_stiffness(mesh).toarray(), stiff_q)
-        entrywise_close(build_gradient(mesh).toarray(), grad_q)
+        entrywise_close(tridiag(mesh, MASS).toarray(), mass_q)
+        entrywise_close(tridiag(mesh, STIFF).toarray(), stiff_q)
+        entrywise_close(tridiag(mesh, GRAD).toarray(), grad_q)
 
     def test_mass_row_sums_are_h(self):
         # partition of unity: each boundary-extended row integrates v_i.
         mesh = UniformMesh(7, 1.0)
-        sums = build_mass(mesh).toarray().sum(axis=1)
+        sums = tridiag(mesh, MASS).toarray().sum(axis=1)
         sums[0] += mesh.h / 6.0    # dropped boundary columns
         sums[-1] += mesh.h / 6.0
         assert_allclose(sums, mesh.h, rtol=1e-14)
 
     def test_gradient_antisymmetry_exact(self):
-        g = build_gradient(UniformMesh(12, 2.0))
+        g = tridiag(UniformMesh(12, 2.0), GRAD)
         assert np.array_equal(g.toarray().T, -g.toarray())
 
     def test_gradient_on_interpolant_matches_quadrature(self):
@@ -65,7 +70,7 @@ class TestElementMatrices:
         mesh = UniformMesh(9, 1.0)
         v = interpolate(lambda x: np.sin(PI * x), mesh)
         _, _, grad_q, _ = quadrature_matrices(mesh)
-        assert_allclose(build_gradient(mesh).matvec(v.values),
+        assert_allclose(tridiag(mesh, GRAD).matvec(v.values),
                         grad_q @ v.values, rtol=1e-12, atol=1e-14)
 
 
@@ -106,6 +111,24 @@ class TestInterpolation:
             UniformMesh(1, 1.0)
 
 
+class TestAtQuad:
+    def test_matches_pointwise_evaluation(self):
+        mesh = UniformMesh(9, 1.0)
+        v = interpolate(lambda x: np.sin(PI * x), mesh)
+        assert_allclose(at_quad(v.with_boundary()), v.at(mesh.quad_x),
+                        rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize("M", [2, 40])
+    def test_trailing_axes_match_column_by_column(self, M):
+        # the error norm samples all eight state columns in one call: each
+        # column must get the bits it would get alone
+        nodal = np.random.default_rng(M).normal(size=(M + 1, 8))
+        q = at_quad(nodal)
+        assert q.shape == (M, 3, 8)
+        for k in range(8):
+            assert_array_equal(q[:, :, k], at_quad(nodal[:, k]))
+
+
 class TestLoadVector:
     def test_zero(self):
         f = load_vector(UniformMesh(6, 1.0), np.zeros((6, 3)))
@@ -138,9 +161,9 @@ class TestLoadVector:
        L=st.floats(min_value=0.2, max_value=5.0))
 def test_matrix_structure_properties(M, L):
     mesh = UniformMesh(M, L)
-    for sym in (build_mass(mesh).toarray(), build_stiffness(mesh).toarray()):
+    for sym in (tridiag(mesh, MASS).toarray(), tridiag(mesh, STIFF).toarray()):
         assert np.array_equal(sym.T, sym)
-    g = build_gradient(mesh).toarray()
+    g = tridiag(mesh, GRAD).toarray()
     assert np.array_equal(g.T, -g)
 
 
@@ -152,5 +175,5 @@ def test_norm_positive_unless_zero(M, seed):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=mesh.n_interior)
     if np.any(values != 0.0):
-        assert build_mass(mesh).quad(values) > 0.0
-        assert build_stiffness(mesh).quad(values) > 0.0
+        assert tridiag(mesh, MASS).quad(values) > 0.0
+        assert tridiag(mesh, STIFF).quad(values) > 0.0

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shearbeam.femesh import UniformMesh
+from shearbeam.femesh import FeFunction, UniformMesh, integrate
 from shearbeam.mms import (ConvergenceRow, convergence_table, error_norm,
                            initial_data, observed_order_slope, reference_case,
                            run_level)
-from shearbeam.stepper import initial_state
+from shearbeam.stepper import State, initial_state
 
 from oracles import fd_sources
 
@@ -67,6 +67,41 @@ class TestErrorNorm:
         c_coarse = errs[0] * 20  # error ~ c*h estimated at the coarsest level
         assert errs[1] <= 1.05 * c_coarse / 40
         assert errs[2] <= 1.05 * c_coarse / 80
+
+
+    @pytest.mark.parametrize("M", [3, 17])
+    def test_matches_term_by_term_reference(self, M):
+        # the eight terms written out field by field, each P1 function
+        # sampled at the Gauss points from its own padded nodal values
+        mesh, t = UniformMesh(M, 1.0), 0.7
+        rng = np.random.default_rng(M)
+        f = lambda: FeFunction(mesh, rng.normal(size=M - 1))
+        state = State(u=f(), phi=f(), psi=f(), w=f(), xi=f(), Phi=f(),
+                      vartheta=f(), t=0.0, n=0)
+        s = 0.5 + 0.5 * np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
+
+        def gauss(field):
+            full = field.with_boundary()
+            return full[:-1, None] * (1.0 - s) + full[1:, None] * s
+
+        def slope(field):
+            full = field.with_boundary()
+            return ((full[1:] - full[:-1]) / mesh.h)[:, None]
+
+        x, c = mesh.quad_x, CASE
+        spring = FeFunction(mesh, state.phi.values - state.u.values)
+        diffs = (
+            gauss(state.xi) - c.u_t(x, t),
+            slope(state.u) - c.u_x(x, t),
+            gauss(spring) - (c.phi(x, t) - c.u(x, t)),
+            gauss(state.Phi) - c.phi_t(x, t),
+            (slope(state.phi) + gauss(state.psi)) - (c.phi_x(x, t) + c.psi(x, t)),
+            slope(state.psi) - c.psi_x(x, t),
+            gauss(state.vartheta) - c.w_t(x, t),
+            slope(state.w) - c.w_x(x, t),
+        )
+        expected = np.sqrt(sum(integrate(mesh, d ** 2) for d in diffs))
+        assert error_norm(state, CASE, t) == expected
 
 
 class TestConvergenceTable:

@@ -7,7 +7,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from shearbeam import stepper
 from shearbeam.energy import EnergyRecorder, check_monotone, discrete_energy
-from shearbeam.femesh import FeFunction, UniformMesh, interpolate, load_vector
+from shearbeam.femesh import (FeFunction, UniformMesh, interpolate, load_vector,
+                              stencils, toeplitz)
 from shearbeam.mms import error_norm, initial_data, reference_case, run_level
 from shearbeam.model import (InvalidTimeStep, PhysicalParams,
                              SimulationConfig, SingularSystem,
@@ -33,17 +34,16 @@ class TestAssembly:
         mesh = UniformMesh(6, 1.0)
         dt = 0.01
         system = assemble(PARAMS, mesh, dt)
-        from shearbeam.femesh import build_gradient, build_mass, build_stiffness
-        mass = build_mass(mesh).toarray()
+        mass, stiff, grad = (toeplitz(mesh.n_interior, s).toarray()
+                             for s in stencils(mesh.h))
         assert_allclose(system.toarray()[0::4, 1::4], -PARAMS.lam * dt * mass,
                         rtol=1e-14)
         assert_allclose(system.toarray()[1::4, 0::4], -PARAMS.lam * dt * mass,
                         rtol=1e-14)
         # quasi-static rotation block: b*Stiffness + K*Mass.
-        expected = PARAMS.b * build_stiffness(mesh).toarray() + PARAMS.K * mass
+        expected = PARAMS.b * stiff + PARAMS.K * mass
         assert_allclose(system.toarray()[2::4, 2::4], expected, rtol=1e-14)
         # coupling of the rotation row to the deck velocity: K*dt*Gradient.
-        grad = build_gradient(mesh).toarray()
         assert_allclose(system.toarray()[2::4, 1::4], PARAMS.K * dt * grad,
                         rtol=1e-14)
         # thermoelastic coupling appears transpose-free in both rows.
@@ -51,6 +51,12 @@ class TestAssembly:
                         rtol=1e-14)
         assert_allclose(system.toarray()[3::4, 1::4], PARAMS.beta * grad,
                         rtol=1e-14)
+
+    def test_overflowing_parameters_are_rejected(self):
+        # K * stiffness overflows: one named error, not a warning per block
+        huge = dataclasses.replace(PARAMS, K=1e308)
+        with pytest.raises(ValidationError, match=r"K=1e\+308.*dt=0\.005"):
+            assemble(huge, UniformMesh(100, 1.0), 0.005)
 
     def test_dt_scaling_structure(self):
         # every entry is D/dt + C + P*dt; recover D, C, P from three dt
