@@ -10,10 +10,11 @@ matrices with constant diagonals, whose (sub, main, super) `stencils` are
     stiffness  (v_j', v_i')  : diag 2/h,  off -1/h
     gradient   (v_j', v_i )  : diag 0,    super +1/2, sub -1/2
 
-and `toeplitz` builds any of them as a `TriDiag`.  The gradient matrix is
-antisymmetric (integration by parts with zero boundary terms), which is
-what makes the thermoelastic coupling terms cancel in the discrete energy
-balance.
+and `toeplitz` builds any of them as a `TriDiag`, which keeps only `matvec`
+and `quad` (the tests build dense forms from `matvec`).  The gradient
+matrix is antisymmetric (integration by parts with zero boundary terms),
+which is what makes the thermoelastic coupling terms cancel in the
+discrete energy balance.
 
 Element integrals that involve arbitrary functions (load vectors, errors
 against closed-form solutions) use a 3-point Gauss rule per element, exact
@@ -45,7 +46,10 @@ class UniformMesh:
         self.M = int(M)
         self.L = float(L)
         self.h = self.L / self.M
-        self.nodes = np.linspace(0.0, self.L, self.M + 1)
+        try:
+            self.nodes = np.linspace(0.0, self.L, self.M + 1)
+        except ValueError as exc:  # numpy's "array is too big"
+            raise InvalidMesh(f"M={self.M} is too large: {exc}") from None
         # Gauss abscissae, element-major: quad_x[e, q] lies in element e.
         self.quad_x = self.nodes[:-1, None] + self.h * _GAUSS_S[None, :]
 
@@ -111,10 +115,6 @@ class TriDiag:
     def quad(self, u: np.ndarray, v: np.ndarray | None = None) -> float:
         """Bilinear form u^T A v (quadratic form when v is omitted)."""
         return float(u @ self.matvec(u if v is None else v))
-
-    def toarray(self) -> np.ndarray:
-        return (np.diag(self.main) + np.diag(self.lower, -1)
-                + np.diag(self.upper, 1))
 
 
 def stencils(h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

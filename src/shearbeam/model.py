@@ -161,6 +161,9 @@ def validate(params: PhysicalParams,
         raise InvalidTimeStep(f"dt must be > 0 (got {config.dt!r})")
     if not (math.isfinite(config.T) and config.T > 0):
         raise InvalidTimeStep(f"T must be > 0 (got {config.T!r})")
+    if not math.isfinite(config.T / config.dt):
+        raise InvalidTimeStep(
+            f"T/dt is not finite (T={config.T!r}, dt={config.dt!r})")
     n = num_steps(config)
     if n < 1 or abs(n * config.dt - config.T) > config.dt:
         raise InvalidTimeStep(

@@ -261,17 +261,6 @@ class BlockSystem:
             raise SolverFailure(f"banded back-substitution failed (info={info})")
         return x
 
-    def toarray(self) -> np.ndarray:
-        """Dense copy of the step matrix (tests and small diagnostics), read
-        from the band storage that is factorized."""
-        ab = _band(self._A, self.mesh.n_interior)
-        i, j = np.indices((self.n_unknowns, self.n_unknowns))
-        row = _KL + _KU + i - j
-        inside = (row >= _KL) & (row < ab.shape[0])
-        dense = np.zeros(i.shape)
-        dense[inside] = ab[row[inside], j[inside]]
-        return dense
-
 
 def assemble(params: PhysicalParams, mesh: UniformMesh, dt: float) -> BlockSystem:
     """Assemble and LU-factorize the step matrix for fixed (params, mesh, dt);

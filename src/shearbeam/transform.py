@@ -57,14 +57,15 @@ def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> FeFunction:
     mass, stiff, grad = (toeplitz(mesh.n_interior, s) for s in stencils(mesh.h))
 
     # beta*(phi1, v_x) contributes through the transposed gradient matrix,
-    # which equals -grad by antisymmetry.
-    rhs = (-p.rho3 * mass.matvec(theta1.values)
-           - p.kappa * stiff.matvec(theta0.values)
-           - p.beta * grad.matvec(phi1.values))
+    # which equals -grad by antisymmetry.  Overflow from huge parameters or
+    # data is reported once, below, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = (-p.rho3 * mass.matvec(theta1.values)
+               - p.kappa * stiff.matvec(theta0.values)
+               - p.beta * grad.matvec(phi1.values))
+        sub, main, sup = p.delta * stencils(mesh.h)[1]
     if not np.isfinite(rhs).all():
         raise ValidationError("offset right-hand side is not finite")
-
-    sub, main, sup = p.delta * stencils(mesh.h)[1]
     if not np.isfinite([sub, main, sup]).all():
         raise ValidationError(f"offset matrix is not finite (delta={p.delta!r})")
     n = mesh.n_interior

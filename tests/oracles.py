@@ -9,7 +9,9 @@ elimination algebra:
   displacements, as a dense 7-block system with explicit update-rule
   constraint rows;
 * manufactured sources are recomputed from the base closures with central
-  finite differences.
+  finite differences;
+* `dense` builds the matrix of any linear map from its product alone, so a
+  test of an operator checks the product the package computes with.
 """
 
 import numpy as np
@@ -31,6 +33,11 @@ def _dhat(i, x, mesh):
     out[(x > xi - mesh.h) & (x < xi)] = 1.0 / mesh.h
     out[(x >= xi) & (x < xi + mesh.h)] = -1.0 / mesh.h
     return out
+
+
+def dense(apply, n):
+    """The matrix of a linear map on R^n: column j is apply(e_j), flattened."""
+    return np.stack([np.ravel(apply(e)) for e in np.eye(n)], axis=1)
 
 
 def quadrature_matrices(mesh):

@@ -176,7 +176,9 @@ class TestErrorPaths:
                                       "negative-energy", "repeated-time",
                                       "decreasing-time", "non-utf8-config",
                                       "non-utf8-energy", "eta-levels",
-                                      "K-overflow"])
+                                      "K-overflow", "step-overflow",
+                                      "convergence-step-overflow", "huge-M",
+                                      "eta-huge-M"])
     def test_bad_input_is_one_line_exit_2(self, case, tmp_path, capsys):
         cfg = tiny_config(tmp_path, **{"T = 0.5": "T = 0.02", "dt = 0.05": "dt = 0.01"})
         energy_csv = tmp_path / "energy.csv"
@@ -227,7 +229,14 @@ class TestErrorPaths:
                 "non-utf8-config": ["simulate", "--config", str(cfg)],
                 "non-utf8-energy": ["energy", "--input", str(energy_csv)],
                 "eta-levels": ["eta-check", "--levels", "1,2"],
-                "K-overflow": ["simulate", "--config", str(cfg), "--K", "1e308"]}[case]
+                "K-overflow": ["simulate", "--config", str(cfg), "--K", "1e308"],
+                "step-overflow": ["simulate", "--config", str(cfg), "--T", "1e308",
+                                  "--dt", "1e-10"],
+                "convergence-step-overflow": ["convergence", "--levels", "4",
+                                              "--c", "1e-310", "--T", "1",
+                                              "--output-dir", str(tmp_path / "conv")],
+                "huge-M": ["simulate", "--config", str(cfg), "--M", str(2 * 10 ** 18)],
+                "eta-huge-M": ["eta-check", "--levels", f"2,{2 * 10 ** 18}"]}[case]
         capsys.readouterr()
         assert main(argv) == 2
         captured = capsys.readouterr()

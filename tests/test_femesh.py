@@ -7,7 +7,7 @@ from shearbeam.femesh import (FeFunction, UniformMesh, at_quad, interpolate,
                               l2_error, load_vector, stencils, toeplitz)
 from shearbeam.model import InvalidMesh
 
-from oracles import quadrature_matrices
+from oracles import dense, quadrature_matrices
 
 PI = np.pi
 MASS, STIFF, GRAD = range(3)
@@ -47,22 +47,20 @@ class TestElementMatrices:
     @pytest.mark.parametrize("M", [2, 3, 10])
     def test_matrices_match_quadrature_oracle(self, M):
         mesh = UniformMesh(M, 1.0)
-        mass_q, stiff_q, grad_q, _ = quadrature_matrices(mesh)
-        entrywise_close(tridiag(mesh, MASS).toarray(), mass_q)
-        entrywise_close(tridiag(mesh, STIFF).toarray(), stiff_q)
-        entrywise_close(tridiag(mesh, GRAD).toarray(), grad_q)
+        for k, oracle in zip((MASS, STIFF, GRAD), quadrature_matrices(mesh)):
+            entrywise_close(dense(tridiag(mesh, k).matvec, M - 1), oracle)
 
     def test_mass_row_sums_are_h(self):
         # partition of unity: each boundary-extended row integrates v_i.
         mesh = UniformMesh(7, 1.0)
-        sums = tridiag(mesh, MASS).toarray().sum(axis=1)
+        sums = dense(tridiag(mesh, MASS).matvec, mesh.n_interior).sum(axis=1)
         sums[0] += mesh.h / 6.0    # dropped boundary columns
         sums[-1] += mesh.h / 6.0
         assert_allclose(sums, mesh.h, rtol=1e-14)
 
     def test_gradient_antisymmetry_exact(self):
-        g = tridiag(UniformMesh(12, 2.0), GRAD)
-        assert np.array_equal(g.toarray().T, -g.toarray())
+        g = dense(tridiag(UniformMesh(12, 2.0), GRAD).matvec, 11)
+        assert np.array_equal(g.T, -g)
 
     def test_gradient_on_interpolant_matches_quadrature(self):
         # (v_h', test_i) computed matrix-free must match dense quadrature
@@ -109,6 +107,11 @@ class TestInterpolation:
     def test_tiny_mesh_rejected(self):
         with pytest.raises(InvalidMesh):
             UniformMesh(1, 1.0)
+
+    def test_mesh_beyond_array_limit_rejected(self):
+        # numpy refuses the node array before it allocates anything.
+        with pytest.raises(InvalidMesh, match="too large"):
+            UniformMesh(2 * 10 ** 18, 1.0)
 
 
 class TestAtQuad:
@@ -161,10 +164,10 @@ class TestLoadVector:
        L=st.floats(min_value=0.2, max_value=5.0))
 def test_matrix_structure_properties(M, L):
     mesh = UniformMesh(M, L)
-    for sym in (tridiag(mesh, MASS).toarray(), tridiag(mesh, STIFF).toarray()):
+    mass, stiff, grad = (dense(tridiag(mesh, k).matvec, M - 1) for k in (MASS, STIFF, GRAD))
+    for sym in (mass, stiff):
         assert np.array_equal(sym.T, sym)
-    g = tridiag(mesh, GRAD).toarray()
-    assert np.array_equal(g.T, -g)
+    assert np.array_equal(grad.T, -grad)
 
 
 @settings(max_examples=25, deadline=None)

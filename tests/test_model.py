@@ -66,6 +66,11 @@ class TestValidate:
         with pytest.raises(InvalidTimeStep):
             validate(baseline_params(), good_config(dt=2.5, T=1.0))
 
+    def test_step_count_overflow(self):
+        # T/dt overflows to inf: rejected before round(T/dt) is taken.
+        with pytest.raises(InvalidTimeStep, match="T/dt is not finite"):
+            validate(baseline_params(), good_config(T=1e308, dt=1e-10))
+
     def test_probe_outside_domain(self):
         for x in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(InvalidProbe):

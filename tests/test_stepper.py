@@ -17,9 +17,15 @@ from shearbeam.model import (InvalidTimeStep, PhysicalParams,
 from shearbeam.stepper import (ProbeRecorder, SnapshotRecorder, advance,
                                assemble, initial_state, run)
 
-from oracles import dense_step_oracle
+from oracles import dense, dense_step_oracle
 
 PARAMS = baseline_params()
+
+
+def step_matrix(system):
+    """The dense step matrix, column by column from `BlockSystem.matvec`."""
+    return dense(lambda v: system.matvec(np.pad(v.reshape(-1, 4), ((1, 1), (0, 0)))),
+                 system.n_unknowns)
 
 
 def random_state(mesh, rng, scale=1.0):
@@ -33,24 +39,19 @@ class TestAssembly:
         # the suspender terms couple xi and Phi through -lam*dt*Mass.
         mesh = UniformMesh(6, 1.0)
         dt = 0.01
-        system = assemble(PARAMS, mesh, dt)
-        mass, stiff, grad = (toeplitz(mesh.n_interior, s).toarray()
-                             for s in stencils(mesh.h))
-        assert_allclose(system.toarray()[0::4, 1::4], -PARAMS.lam * dt * mass,
-                        rtol=1e-14)
-        assert_allclose(system.toarray()[1::4, 0::4], -PARAMS.lam * dt * mass,
-                        rtol=1e-14)
+        A = step_matrix(assemble(PARAMS, mesh, dt))
+        n = mesh.n_interior
+        mass, stiff, grad = (dense(toeplitz(n, s).matvec, n) for s in stencils(mesh.h))
+        assert_allclose(A[0::4, 1::4], -PARAMS.lam * dt * mass, rtol=1e-14)
+        assert_allclose(A[1::4, 0::4], -PARAMS.lam * dt * mass, rtol=1e-14)
         # quasi-static rotation block: b*Stiffness + K*Mass.
         expected = PARAMS.b * stiff + PARAMS.K * mass
-        assert_allclose(system.toarray()[2::4, 2::4], expected, rtol=1e-14)
+        assert_allclose(A[2::4, 2::4], expected, rtol=1e-14)
         # coupling of the rotation row to the deck velocity: K*dt*Gradient.
-        assert_allclose(system.toarray()[2::4, 1::4], PARAMS.K * dt * grad,
-                        rtol=1e-14)
+        assert_allclose(A[2::4, 1::4], PARAMS.K * dt * grad, rtol=1e-14)
         # thermoelastic coupling appears transpose-free in both rows.
-        assert_allclose(system.toarray()[1::4, 3::4], PARAMS.beta * grad,
-                        rtol=1e-14)
-        assert_allclose(system.toarray()[3::4, 1::4], PARAMS.beta * grad,
-                        rtol=1e-14)
+        assert_allclose(A[1::4, 3::4], PARAMS.beta * grad, rtol=1e-14)
+        assert_allclose(A[3::4, 1::4], PARAMS.beta * grad, rtol=1e-14)
 
     def test_overflowing_parameters_are_rejected(self):
         # K * stiffness overflows: one named error, not a warning per block
@@ -63,12 +64,12 @@ class TestAssembly:
         # samples and predict a fourth assembly entrywise.
         mesh = UniformMesh(5, 1.0)
         dts = (0.5, 1.0, 2.0)
-        mats = [assemble(PARAMS, mesh, dt).toarray() for dt in dts]
+        mats = [step_matrix(assemble(PARAMS, mesh, dt)) for dt in dts]
         V = np.array([[1.0 / dt, 1.0, dt] for dt in dts])
         coeffs = np.linalg.solve(V, np.stack([m.ravel() for m in mats]))
         D, C, P = (c.reshape(mats[0].shape) for c in coeffs)
         predicted = D / 4.0 + C + P * 4.0
-        actual = assemble(PARAMS, mesh, 4.0).toarray()
+        actual = step_matrix(assemble(PARAMS, mesh, 4.0))
         assert_allclose(actual, predicted, rtol=1e-11, atol=1e-11)
 
     def test_singular_for_degenerate_parameters(self):
@@ -155,14 +156,14 @@ class TestAdvance:
         assert error_norm(state, case, dt) <= 1.05 * e0
 
     @pytest.mark.parametrize("M", [2, 3, 7])
-    def test_matvec_matches_dense_matrix(self, M):
-        # M=2 has one interior node: no off-diagonal entry to read the
-        # stencil from.
+    def test_solve_inverts_matvec(self, M):
+        # The stencil product and the factorized band must be one matrix.
+        # M=2 has one interior node, so no off-diagonal block of the band.
         system = assemble(PARAMS, UniformMesh(M, 1.0), 0.02)
         x = np.zeros((M + 1, 4))
         x[1:-1] = np.random.default_rng(M).normal(size=(M - 1, 4))
-        assert_allclose(system.matvec(x).ravel(), system.toarray() @ x[1:-1].ravel(),
-                        rtol=1e-13, atol=1e-13)
+        assert_allclose(system.solve(system.matvec(x).ravel()), x[1:-1].ravel(),
+                        rtol=1e-12, atol=1e-12)
 
     def test_returned_states_are_never_written(self):
         mesh = UniformMesh(9, 1.0)

@@ -112,3 +112,16 @@ class TestNonFiniteData:
         params = dataclasses.replace(PARAMS, delta=np.inf)
         with pytest.raises(ValidationError, match="matrix"):
             solve_eta(EtaProblem(sin_pix, zero, zero, params), UniformMesh(8, 1.0))
+
+    def test_overflowing_matrix_is_one_error(self):
+        # delta * stiffness overflows: the named error, not numpy's warning
+        # (which the suite turns into an error).
+        params = dataclasses.replace(PARAMS, delta=1e308)
+        with pytest.raises(ValidationError, match=r"matrix.*delta=1e\+308"):
+            solve_eta(EtaProblem(sin_pix, zero, zero, params), UniformMesh(8, 1.0))
+
+    def test_overflowing_right_hand_side_is_one_error(self):
+        params = dataclasses.replace(PARAMS, rho3=1e308)
+        theta1 = lambda x: 1e10 * sin_pix(x)
+        with pytest.raises(ValidationError, match="right-hand side"):
+            solve_eta(EtaProblem(zero, theta1, zero, params), UniformMesh(8, 1.0))
