@@ -7,8 +7,7 @@ from .model import (ConfigError, DegenerateWindow, InitialData, InvalidMesh,
                     PhysicalParams, SimulationConfig, SingularSystem,
                     SolverFailure, ValidationError,
                     baseline_params, parse_config, sine_initial_data, validate)
-from .femesh import (FeFunction, TriDiag, UniformMesh, interpolate, l2_error,
-                     load_vector)
+from .femesh import UniformMesh, interpolate_fields, l2_error, load_vector
 from .transform import EtaProblem, solve_eta
 from .stepper import (BlockSystem, ProbeRecorder, SnapshotRecorder, State,
                       advance, assemble, initial_state, run)

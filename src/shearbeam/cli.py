@@ -288,7 +288,7 @@ def _cmd_eta_check(args) -> int:
     print("M,l2_error,order")
     errors = []
     for mesh in meshes:
-        err = femesh.l2_error(transform.solve_eta(problem, mesh), exact)
+        err = femesh.l2_error(mesh, transform.solve_eta(problem, mesh), exact)
         order = "" if not errors else _fmt(np.log2(errors[-1] / err))
         errors.append(err)
         print(f"{mesh.M},{_fmt(err)},{order}")
@@ -296,7 +296,7 @@ def _cmd_eta_check(args) -> int:
     eta0 = transform.solve_eta(
         transform.EtaProblem(theta0=zero, theta1=zero, phi1=zero, params=params),
         meshes[-1])
-    print(f"case 2: zero data -> max|eta| = {_fmt(np.max(np.abs(eta0.values)))}")
+    print(f"case 2: zero data -> max|eta| = {_fmt(np.max(np.abs(eta0)))}")
     return 0
 
 
@@ -306,13 +306,13 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except (model.ConfigError, model.ValidationError, model.DegenerateWindow) as exc:
+    except (model.ConfigError, model.ValidationError) as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"IoError: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (model.SolverFailure, model.SingularSystem) as exc:
+    except model.SolverFailure as exc:
         print(f"SolverFailure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except MemoryError as exc:

@@ -2,25 +2,30 @@
 sampling and quadrature.
 
 Functions in the discrete space are continuous, piecewise affine, and vanish
-at both endpoints, so a `FeFunction` stores only the M-1 interior nodal
-values.  On the uniform mesh the three bilinear forms reduce to tridiagonal
+at both endpoints.  A field is its nodal values over all M+1 nodes with
+zero end rows, and several fields are the columns of one such (M+1, k)
+array.  On the uniform mesh the three bilinear forms reduce to tridiagonal
 matrices with constant diagonals, whose (sub, main, super) `stencils` are
 
     mass       (v_j , v_i)   : diag 2h/3, off  h/6
     stiffness  (v_j', v_i')  : diag 2/h,  off -1/h
     gradient   (v_j', v_i )  : diag 0,    super +1/2, sub -1/2
 
-and `toeplitz` builds any of them as a `TriDiag`, which keeps only `matvec`
-and `quad` (the tests build dense forms from `matvec`).  The gradient
-matrix is antisymmetric (integration by parts with zero boundary terms),
-which is what makes the thermoelastic coupling terms cancel in the
-discrete energy balance.
+and any of them applied to a padded array v is, on the interior rows,
+main*v[1:-1] + sub*v[:-2] + sup*v[2:].  The gradient matrix is
+antisymmetric (integration by parts with zero boundary terms), which is
+what makes the thermoelastic coupling terms cancel in the discrete energy
+balance.
 
 Element integrals that involve arbitrary functions (load vectors, errors
 against closed-form solutions) use a 3-point Gauss rule per element, exact
 through degree 5, so quadrature error is asymptotically negligible next to
 the O(h + dt) error of the time stepper.  `at_quad` samples a whole padded
-node-major array of P1 fields at those points in one call.
+array of P1 fields at those points in one call.
+
+`FeFunction` (a field by its interior values), `TriDiag` and `toeplitz`
+(an operator by its three diagonals) are independent oracles for the
+tests; no package path uses them.
 """
 
 from __future__ import annotations
@@ -131,25 +136,24 @@ def toeplitz(n: int, stencil) -> TriDiag:
     return TriDiag(np.full(n, main), np.full(n - 1, sub), np.full(n - 1, sup))
 
 
-def interpolate(f: Callable[[np.ndarray], np.ndarray], mesh: UniformMesh) -> FeFunction:
-    """Nodal interpolant of f (which must vanish at 0 and L).
+def interpolate_fields(source, names, mesh: UniformMesh) -> np.ndarray:
+    """Nodal interpolants of the callables `source.<name>`, which must
+    vanish at 0 and L, as the columns of one (M+1, len(names)) array with
+    zero end rows.  Raises ValidationError naming the first field with a
+    non-finite sample.
 
-    For P1 elements in one dimension this coincides with the elliptic
-    projection onto the discrete space, since that projection preserves
-    nodal values; no solve is needed.
+    For P1 elements in one dimension the nodal interpolant coincides with
+    the elliptic projection onto the discrete space, since that projection
+    preserves nodal values; no solve is needed.
     """
-    return FeFunction(mesh, np.asarray(f(mesh.nodes[1:-1]), dtype=float))
-
-
-def interpolate_fields(source, names, mesh: UniformMesh) -> list[FeFunction]:
-    """Nodal interpolants of the callables `source.<name>` for each name.
-    Raises ValidationError naming the first field with a non-finite sample."""
-    fields = [interpolate(getattr(source, name), mesh) for name in names]
-    for name, f in zip(names, fields):
-        if not np.isfinite(f.values).all():
+    out = np.zeros((mesh.M + 1, len(names)))
+    for k, name in enumerate(names):
+        out[1:-1, k] = getattr(source, name)(mesh.nodes[1:-1])
+    for name, finite in zip(names, np.isfinite(out).all(axis=0)):
+        if not finite:
             raise ValidationError(
                 f"initial function {name} is not finite at every interior node")
-    return fields
+    return out
 
 
 def at_quad(nodal: np.ndarray) -> np.ndarray:
@@ -178,8 +182,10 @@ def integrate(mesh: UniformMesh, values_at_quad: np.ndarray) -> float:
     return float(mesh.h * (values_at_quad * _GAUSS_W).sum())
 
 
-def l2_error(v: FeFunction, exact: Callable[[np.ndarray], np.ndarray]) -> float:
-    """L2 distance between a P1 function and a closed-form function,
-    integrated with the per-element Gauss rule."""
-    diff = at_quad(v.with_boundary()) - exact(v.mesh.quad_x)
-    return float(np.sqrt(max(integrate(v.mesh, diff ** 2), 0.0)))
+def l2_error(mesh: UniformMesh, nodal: np.ndarray,
+             exact: Callable[[np.ndarray], np.ndarray]) -> float:
+    """L2 distance between the P1 function with the given (M+1,) nodal
+    values, end nodes included, and a closed-form function, integrated with
+    the per-element Gauss rule."""
+    diff = at_quad(nodal) - exact(mesh.quad_x)
+    return float(np.sqrt(max(integrate(mesh, diff ** 2), 0.0)))

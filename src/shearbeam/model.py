@@ -57,15 +57,15 @@ class ConfigError(Exception):
     """A configuration file is missing, unreadable, or malformed."""
 
 
-class SingularSystem(RuntimeError):
-    """A linear system factorization hit a zero pivot (invalid inputs)."""
-
-
 class SolverFailure(RuntimeError):
     """A linear solve failed or its residual exceeded tolerance."""
 
 
-class DegenerateWindow(ValueError):
+class SingularSystem(SolverFailure):
+    """A linear system factorization hit a zero pivot (invalid inputs)."""
+
+
+class DegenerateWindow(ValidationError):
     """Too few usable samples in a fitting window."""
 
 
@@ -142,12 +142,11 @@ def num_steps(config: SimulationConfig) -> int:
     return int(round(config.T / config.dt))
 
 
-def validate(params: PhysicalParams,
-             config: SimulationConfig) -> tuple[PhysicalParams, SimulationConfig]:
-    """Return (params, config) unchanged iff every invariant holds.
+def validate(params: PhysicalParams, config: SimulationConfig) -> None:
+    """Check every invariant of a run's inputs.
 
     Raises NonPositiveParameter / InvalidMesh / InvalidTimeStep /
-    InvalidProbe naming the offending field.  Idempotent.
+    InvalidProbe naming the offending field.
     """
     for key, attr in PARAM_KEYS.items():
         value = getattr(params, attr)
@@ -178,13 +177,11 @@ def validate(params: PhysicalParams,
         if x in config.probe_points[:i]:
             raise InvalidProbe(f"probe point {x} given twice")
 
-    return params, config
-
 
 _ENDPOINT_ATOL = 1e-9  # largest |f(0)|, |f(L)| that counts as vanishing
 
 
-def validate_initial_data(init: InitialData, L: float) -> InitialData:
+def validate_initial_data(init: InitialData, L: float) -> None:
     """Check that all seven initial functions vanish at both endpoints, to
     _ENDPOINT_ATOL (a NaN there is rejected as well)."""
     ends = np.array([0.0, L])
@@ -194,7 +191,6 @@ def validate_initial_data(init: InitialData, L: float) -> InitialData:
             raise ValidationError(
                 f"initial function {name} does not vanish at the endpoints "
                 f"(|{name}(0)|={abs(vals[0]):.2e}, |{name}(L)|={abs(vals[1]):.2e})")
-    return init
 
 
 # --------------------------------------------------------------------------

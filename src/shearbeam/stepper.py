@@ -59,8 +59,7 @@ import math
 import numpy as np
 
 from ._lapack import lapack
-from .femesh import (FeFunction, UniformMesh, interpolate_fields, load_vector,
-                     stencils)
+from .femesh import UniformMesh, interpolate_fields, load_vector, stencils
 from .model import (InitialData, PhysicalParams, SimulationConfig,
                     SingularSystem, SolverFailure, ValidationError, num_steps,
                     validate, validate_initial_data)
@@ -88,34 +87,22 @@ def _windows(v: np.ndarray) -> np.ndarray:
 
 
 def _column(col: int, doc: str | None = None) -> property:
-    """A state's field: a `FeFunction` view of one column's interior rows."""
-    return property(lambda self: FeFunction(self.mesh, self._s[1:-1, col]), doc=doc)
+    """A state's field: a read-only view of one column's interior rows."""
+    return property(lambda self: self._s[1:-1, col], doc=doc)
 
 
 class State:
     """The seven discrete fields at one time level.
 
-    Stored as one node-major (M+1, 8) array over all M+1 nodes with columns
-    (xi, Phi, psi, vartheta, u, phi, phi - u, w) and zero end rows.  The
-    fields are `FeFunction` views of its columns, built on access.  The
-    array is never written after construction.
+    `s` is one contiguous node-major (M+1, 8) array over all M+1 nodes with
+    columns (xi, Phi, psi, vartheta, u, phi, phi - u, w) and zero end rows.
+    The state takes it over and makes it read-only; the fields are views of
+    its columns' interior rows.
     """
 
-    def __init__(self, u: FeFunction, phi: FeFunction, psi: FeFunction,
-                 w: FeFunction, xi: FeFunction, Phi: FeFunction,
-                 vartheta: FeFunction, t: float, n: int):
-        self.mesh, self.t, self.n = u.mesh, t, n
-        self._s = np.zeros((u.mesh.M + 1, 8))
-        self._s[1:-1] = np.column_stack(
-            [f.values for f in (xi, Phi, psi, vartheta, u, phi)]
-            + [phi.values - u.values, w.values])
-
-    @classmethod
-    def _from_array(cls, mesh: UniformMesh, s: np.ndarray, t: float,
-                    n: int) -> "State":
-        state = cls.__new__(cls)
-        state.mesh, state._s, state.t, state.n = mesh, s, t, n
-        return state
+    def __init__(self, mesh: UniformMesh, s: np.ndarray, t: float, n: int):
+        s.setflags(write=False)
+        self.mesh, self._s, self.t, self.n = mesh, s, t, n
 
     u = _column(_U)
     phi = _column(_DPHI)
@@ -133,8 +120,10 @@ def initial_state(init: InitialData, mesh: UniformMesh) -> State:
     """Nodal interpolation of the initial fields (t = 0, step 0).  Raises
     ValidationError naming the initial function when a sample is not
     finite."""
-    names = ("u0", "phi0", "psi0", "w0", "u1", "phi1", "w1")
-    return State(*interpolate_fields(init, names, mesh), t=0.0, n=0)
+    u, phi, psi, w, xi, Phi, vartheta = interpolate_fields(
+        init, ("u0", "phi0", "psi0", "w0", "u1", "phi1", "w1"), mesh).T
+    s = np.column_stack([xi, Phi, psi, vartheta, u, phi, phi - u, w])
+    return State(mesh, s, 0.0, 0)
 
 
 def _block_stencil(blocks: dict, width: int = 4, rows: int = 4) -> np.ndarray:
@@ -294,7 +283,7 @@ def advance(system: BlockSystem, state: State, loads=None) -> State:
     s_new = x_new @ system._update + s @ _DISPLACEMENTS
     s_new[:, _SPRING] = s_new[:, _DPHI] - s_new[:, _U]
     n = state.n + 1
-    return State._from_array(system.mesh, s_new, n * system.dt, n)
+    return State(system.mesh, s_new, n * system.dt, n)
 
 
 def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
@@ -350,7 +339,7 @@ class ProbeRecorder:
 
     def __call__(self, state: State) -> None:
         # Element and local coordinate of each point, located once per
-        # mesh; the interpolation below is `FeFunction.at`'s, to the bit.
+        # mesh, for the P1 interpolation below.
         if state.mesh is not self._mesh:
             self._mesh = state.mesh
             self._cells = [(int(e), float(s)) for e, s in

@@ -30,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lapack import lapack
-from .femesh import (FeFunction, UniformMesh, interpolate_fields, stencils,
-                     toeplitz)
+from .femesh import UniformMesh, interpolate_fields, stencils
 from .model import (PhysicalParams, ScalarField, SingularSystem,
                     ValidationError)
 
@@ -47,33 +46,36 @@ class EtaProblem:
     params: PhysicalParams
 
 
-def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> FeFunction:
-    """P1 solution of the weak offset problem on the given mesh.  Raises
-    ValidationError naming the field when a sample of theta0, theta1 or
-    phi1 is not finite, and when the matrix or right-hand side is not."""
+def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> np.ndarray:
+    """P1 solution of the weak offset problem on the given mesh, as its
+    (M+1,) nodal values with zero end entries.  Raises ValidationError
+    naming the field when a sample of theta0, theta1 or phi1 is not finite,
+    and when the matrix or right-hand side is not."""
     p = problem.params
-    theta0, theta1, phi1 = interpolate_fields(
-        problem, ("theta0", "theta1", "phi1"), mesh)
-    mass, stiff, grad = (toeplitz(mesh.n_interior, s) for s in stencils(mesh.h))
+    v = interpolate_fields(problem, ("theta0", "theta1", "phi1"), mesh)
+    mass, stiff, grad = stencils(mesh.h)
+    sub, main, sup = np.column_stack([stiff, mass, grad])
 
     # beta*(phi1, v_x) contributes through the transposed gradient matrix,
     # which equals -grad by antisymmetry.  Overflow from huge parameters or
     # data is reported once, below, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs = (-p.rho3 * mass.matvec(theta1.values)
-               - p.kappa * stiff.matvec(theta0.values)
-               - p.beta * grad.matvec(phi1.values))
-        sub, main, sup = p.delta * stencils(mesh.h)[1]
+        # Column k applies the stiffness, mass and gradient stencils to
+        # theta0, theta1 and phi1 in turn.  Summed elementwise in a fixed
+        # order, not by BLAS, whose order depends on the build.
+        tri = main * v[1:-1] + sub * v[:-2] + sup * v[2:]
+        rhs = -p.rho3 * tri[:, 1] - p.kappa * tri[:, 0] - p.beta * tri[:, 2]
+        matrix = p.delta * stiff
     if not np.isfinite(rhs).all():
         raise ValidationError("offset right-hand side is not finite")
-    if not np.isfinite([sub, main, sup]).all():
+    if not np.isfinite(matrix).all():
         raise ValidationError(f"offset matrix is not finite (delta={p.delta!r})")
     n = mesh.n_interior
     # f2py rejects empty off-diagonals, which n = 1 would give; LAPACK
     # reads none of their entries then.
     off = max(n - 1, 1)
-    *_, eta, info = lapack.dgtsv(np.full(off, sub), np.full(n, main),
-                                 np.full(off, sup), rhs)
+    *_, eta, info = lapack.dgtsv(np.full(off, matrix[0]), np.full(n, matrix[1]),
+                                 np.full(off, matrix[2]), rhs)
     if info != 0:  # cannot occur for delta > 0
         raise SingularSystem(f"offset solve failed (dgtsv info={info})")
-    return FeFunction(mesh, eta)
+    return np.pad(eta, 1)

@@ -12,9 +12,17 @@ elimination algebra:
   finite differences;
 * `dense` builds the matrix of any linear map from its product alone, so a
   test of an operator checks the product the package computes with.
+
+`make_state` and `random_state` are the one way the tests build a `State`
+from the interior values of its seven fields.
 """
 
 import numpy as np
+
+from shearbeam.stepper import State
+
+# The seven fields of a state, in the order `random_state` draws them.
+FIELDS = ("u", "phi", "psi", "w", "xi", "Phi", "vartheta")
 
 # 8-point Gauss-Legendre on [-1, 1]; exact far beyond the degree-2
 # integrands, so the only error left is rounding.
@@ -38,6 +46,23 @@ def _dhat(i, x, mesh):
 def dense(apply, n):
     """The matrix of a linear map on R^n: column j is apply(e_j), flattened."""
     return np.stack([np.ravel(apply(e)) for e in np.eye(n)], axis=1)
+
+
+def make_state(mesh, fields, t=0.0, n=0):
+    """The `State` at (t, n) whose fields have the given interior values;
+    `fields` maps each name in FIELDS to an (M-1,) array."""
+    f = fields
+    s = np.zeros((mesh.M + 1, 8))
+    s[1:-1] = np.column_stack([f["xi"], f["Phi"], f["psi"], f["vartheta"],
+                               f["u"], f["phi"], f["phi"] - f["u"], f["w"]])
+    return State(mesh, s, t, n)
+
+
+def random_state(mesh, rng, scale=1.0):
+    """A state at t = 0 with independent normal(0, scale) interior values,
+    drawn field by field in FIELDS order."""
+    return make_state(mesh, {name: scale * rng.normal(size=mesh.n_interior)
+                             for name in FIELDS})
 
 
 def quadrature_matrices(mesh):

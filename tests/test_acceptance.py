@@ -16,7 +16,8 @@ from shearbeam.femesh import UniformMesh, stencils, toeplitz
 from shearbeam.model import (PhysicalParams, SimulationConfig, baseline_params,
                              sine_initial_data)
 
-from oracles import dense, dense_step_oracle, fd_sources, quadrature_matrices
+from oracles import (dense, dense_step_oracle, fd_sources, quadrature_matrices,
+                     random_state)
 
 PARAMS = baseline_params()
 
@@ -122,13 +123,14 @@ def test_criterion_6_eta_solver_verification():
         phi1=zero, params=PARAMS)
     errors = []
     for M in (20, 40, 80, 160):
-        eta = transform.solve_eta(problem(), UniformMesh(M, PARAMS.L))
-        errors.append(femesh.l2_error(eta, lambda x: np.sin(pi * x)))
+        mesh = UniformMesh(M, PARAMS.L)
+        eta = transform.solve_eta(problem(), mesh)
+        errors.append(femesh.l2_error(mesh, eta, lambda x: np.sin(pi * x)))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
 
     eta0 = transform.solve_eta(
         transform.EtaProblem(zero, zero, zero, PARAMS), UniformMesh(40, PARAMS.L))
-    all_zero = bool(np.all(eta0.values == 0.0))
+    all_zero = bool(np.all(eta0 == 0.0))
 
     ok = bool(np.all(orders >= 1.9)) and all_zero
     report(6, ok, f"manufactured sin case orders {[f'{o:.3f}' for o in orders]} "
@@ -149,16 +151,12 @@ def test_criterion_7_assembly_and_step_oracles():
     # one-interior-node step vs the dense uneliminated 4-equation solve
     mesh = UniformMesh(2, PARAMS.L)
     dt = 0.005
-    rng = np.random.default_rng(7)
-    state = stepper.State(
-        **{name: femesh.FeFunction(mesh, rng.normal(size=1))
-           for name in ("u", "phi", "psi", "w", "xi", "Phi", "vartheta")},
-        t=0.0, n=0)
-    prev = {name: getattr(state, name).values
+    state = random_state(mesh, np.random.default_rng(7))
+    prev = {name: getattr(state, name)
             for name in ("u", "phi", "w", "xi", "Phi", "vartheta")}
     expected = dense_step_oracle(PARAMS, mesh, dt, prev)
     got = stepper.advance(stepper.assemble(PARAMS, mesh, dt), state)
-    step_dev = max(np.abs(getattr(got, name).values - expected[name]).max()
+    step_dev = max(np.abs(getattr(got, name) - expected[name]).max()
                    / max(np.abs(expected[name]).max(), 1.0)
                    for name in ("xi", "Phi", "psi", "vartheta", "u", "phi", "w"))
 

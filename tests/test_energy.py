@@ -5,12 +5,13 @@ from numpy.testing import assert_allclose
 
 from shearbeam.energy import (EnergySeries, check_monotone, discrete_energy,
                               fit_decay, neg_log_over_t)
-from shearbeam.femesh import (FeFunction, UniformMesh, load_vector, stencils,
-                              toeplitz)
+from shearbeam.femesh import UniformMesh, load_vector, stencils, toeplitz
 from shearbeam.mms import initial_data, reference_case
 from shearbeam.model import (DegenerateWindow, PhysicalParams, SimulationConfig,
                              baseline_params, sine_initial_data)
 from shearbeam.stepper import State, initial_state, run
+
+from oracles import FIELDS, random_state
 
 PARAMS = baseline_params()
 
@@ -23,23 +24,10 @@ E0_CONTINUOUS = 0.5 * (0.5 + 3 * np.pi ** 2 + 1.0
                        + np.pi ** 2 / 2 + 0.5 + np.pi ** 2 / 2)
 
 
-def zero_state(mesh):
-    z = lambda: FeFunction(mesh, np.zeros(mesh.n_interior))
-    return State(u=z(), phi=z(), psi=z(), w=z(), xi=z(), Phi=z(),
-                 vartheta=z(), t=0.0, n=0)
-
-
-def scaled_state(state, c):
-    kw = {name: FeFunction(getattr(state, name).mesh,
-                           c * getattr(state, name).values)
-          for name in ("u", "phi", "psi", "w", "xi", "Phi", "vartheta")}
-    return State(t=state.t, n=state.n, **kw)
-
-
 class TestDiscreteEnergy:
     def test_zero_state(self):
         mesh = UniformMesh(10, 1.0)
-        assert discrete_energy(zero_state(mesh), PARAMS) == 0.0
+        assert discrete_energy(State(mesh, np.zeros((11, 8)), 0.0, 0), PARAMS) == 0.0
 
     def test_initial_energy_matches_analytic_value(self):
         mesh = UniformMesh(100, 1.0)
@@ -60,21 +48,15 @@ class TestDiscreteEnergy:
     @given(seed=st.integers(min_value=0, max_value=2 ** 31), c=st.floats(0.1, 10.0))
     def test_quadratic_scaling(self, seed, c):
         mesh = UniformMesh(12, 1.0)
-        rng = np.random.default_rng(seed)
-        f = lambda: FeFunction(mesh, rng.normal(size=mesh.n_interior))
-        state = State(u=f(), phi=f(), psi=f(), w=f(), xi=f(), Phi=f(),
-                      vartheta=f(), t=0.0, n=0)
-        e1 = discrete_energy(state, PARAMS)
-        e2 = discrete_energy(scaled_state(state, c), PARAMS)
+        state = lambda scale: random_state(mesh, np.random.default_rng(seed), scale)
+        e1 = discrete_energy(state(1.0), PARAMS)
+        e2 = discrete_energy(state(c), PARAMS)
         assert e2 == pytest.approx(c * c * e1, rel=1e-10)
         assert e1 > 0.0  # positive definite on a nonzero state
 
 
-FIELDS = ("xi", "Phi", "psi", "vartheta", "u", "phi", "w")
-
-
 def fields(state):
-    return {name: getattr(state, name).values for name in FIELDS}
+    return {name: getattr(state, name) for name in FIELDS}
 
 
 def reference_energy(f, mesh, p):
@@ -94,10 +76,7 @@ def reference_energy(f, mesh, p):
 def test_energy_matches_tridiag_reference():
     # Same form, other summation order: equal up to rounding.
     mesh = UniformMesh(17, 1.0)
-    rng = np.random.default_rng(5)
-    f = lambda: FeFunction(mesh, rng.normal(size=mesh.n_interior))
-    state = State(u=f(), phi=f(), psi=f(), w=f(), xi=f(), Phi=f(),
-                  vartheta=f(), t=0.0, n=0)
+    state = random_state(mesh, np.random.default_rng(5))
     expected = reference_energy(fields(state), mesh, PARAMS)
     for _ in range(2):
         assert discrete_energy(state, PARAMS) == \

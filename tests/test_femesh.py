@@ -1,10 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from shearbeam.femesh import (FeFunction, UniformMesh, at_quad, interpolate,
-                              l2_error, load_vector, stencils, toeplitz)
+from shearbeam.femesh import (FeFunction, UniformMesh, at_quad,
+                              interpolate_fields, l2_error, load_vector,
+                              stencils, toeplitz)
 from shearbeam.model import InvalidMesh
 
 from oracles import dense, quadrature_matrices
@@ -16,6 +19,11 @@ MASS, STIFF, GRAD = range(3)
 def tridiag(mesh, k):
     """The mass, stiffness or gradient matrix of a mesh: stencil k."""
     return toeplitz(mesh.n_interior, stencils(mesh.h)[k])
+
+
+def nodal(f, mesh):
+    """The (M+1,) padded nodal interpolant of one callable."""
+    return interpolate_fields(SimpleNamespace(f=f), ("f",), mesh)[:, 0]
 
 
 def entrywise_close(dense, oracle, rtol=1e-12):
@@ -66,35 +74,44 @@ class TestElementMatrices:
         # (v_h', test_i) computed matrix-free must match dense quadrature
         # of the piecewise-constant derivative against each hat function.
         mesh = UniformMesh(9, 1.0)
-        v = interpolate(lambda x: np.sin(PI * x), mesh)
+        v = nodal(lambda x: np.sin(PI * x), mesh)[1:-1]
         _, _, grad_q, _ = quadrature_matrices(mesh)
-        assert_allclose(tridiag(mesh, GRAD).matvec(v.values),
-                        grad_q @ v.values, rtol=1e-12, atol=1e-14)
+        assert_allclose(tridiag(mesh, GRAD).matvec(v),
+                        grad_q @ v, rtol=1e-12, atol=1e-14)
 
 
 class TestInterpolation:
     def test_sin_quarter_points(self):
-        v = interpolate(lambda x: np.sin(PI * x), UniformMesh(4, 1.0))
-        assert_allclose(v.values, [np.sqrt(2) / 2, 1.0, np.sqrt(2) / 2], rtol=1e-15)
+        # one column per field, end rows exactly zero even where the
+        # callable is not sampled as zero (cos does not vanish at 0 or L)
+        source = SimpleNamespace(s=lambda x: np.sin(PI * x),
+                                 c=lambda x: np.cos(PI * x))
+        v = interpolate_fields(source, ("s", "c"), UniformMesh(4, 1.0))
+        assert v.shape == (5, 2)
+        assert np.all(v[[0, -1]] == 0.0)
+        r = np.sqrt(2) / 2
+        assert_allclose(v[1:-1, 0], [r, 1.0, r], rtol=1e-15)
+        assert_allclose(v[1:-1, 1], [r, 0.0, -r], rtol=1e-15, atol=1e-16)
 
     def test_zero_function(self):
-        v = interpolate(lambda x: 0.0 * x, UniformMesh(8, 1.0))
-        assert np.all(v.values == 0.0)
+        v = nodal(lambda x: 0.0 * x, UniformMesh(8, 1.0))
+        assert v.shape == (9,) and np.all(v == 0.0)
 
     def test_quartic(self):
-        v = interpolate(lambda x: x ** 2 * (x - 1.0) ** 2, UniformMesh(4, 1.0))
-        assert_allclose(v.values, [9.0 / 256.0, 1.0 / 16.0, 9.0 / 256.0], rtol=1e-15)
+        v = nodal(lambda x: x ** 2 * (x - 1.0) ** 2, UniformMesh(4, 1.0))
+        assert_allclose(v, [0.0, 9.0 / 256.0, 1.0 / 16.0, 9.0 / 256.0, 0.0], rtol=1e-15)
 
     def test_interpolation_error_second_order(self):
-        errs = [l2_error(interpolate(lambda x: np.sin(PI * x), UniformMesh(M, 1.0)),
+        meshes = [UniformMesh(M, 1.0) for M in (10, 20, 40, 80)]
+        errs = [l2_error(mesh, nodal(lambda x: np.sin(PI * x), mesh),
                          lambda x: np.sin(PI * x))
-                for M in (10, 20, 40, 80)]
+                for mesh in meshes]
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 1.9)
 
     def test_evaluation(self):
         mesh = UniformMesh(4, 1.0)
-        v = interpolate(lambda x: np.sin(PI * x), mesh)
+        v = FeFunction(mesh, nodal(lambda x: np.sin(PI * x), mesh)[1:-1])
         assert v.at(0.0) == 0.0 and v.at(1.0) == 0.0
         assert v.at(0.25) == pytest.approx(np.sqrt(2) / 2)
         # midway between nodes: average of the nodal values
@@ -117,8 +134,8 @@ class TestInterpolation:
 class TestAtQuad:
     def test_matches_pointwise_evaluation(self):
         mesh = UniformMesh(9, 1.0)
-        v = interpolate(lambda x: np.sin(PI * x), mesh)
-        assert_allclose(at_quad(v.with_boundary()), v.at(mesh.quad_x),
+        v = nodal(lambda x: np.sin(PI * x), mesh)
+        assert_allclose(at_quad(v), FeFunction(mesh, v[1:-1]).at(mesh.quad_x),
                         rtol=1e-14, atol=1e-15)
 
     @pytest.mark.parametrize("M", [2, 40])

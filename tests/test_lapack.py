@@ -38,7 +38,7 @@ out = {"step": system.solve(rhs).tobytes().hex()}
 for M in (2, 40):
     problem = EtaProblem(lambda x: np.sin(np.pi * x), lambda x: x * (1 - x),
                          lambda x: np.sin(2 * np.pi * x), params)
-    out[f"eta{M}"] = solve_eta(problem, UniformMesh(M, params.L)).values.tobytes().hex()
+    out[f"eta{M}"] = solve_eta(problem, UniformMesh(M, params.L)).tobytes().hex()
 """
 
 

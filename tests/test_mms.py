@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shearbeam.femesh import FeFunction, UniformMesh, integrate
+from shearbeam.femesh import UniformMesh, integrate
 from shearbeam.mms import (ConvergenceRow, convergence_table, error_norm,
                            initial_data, observed_order_slope, reference_case,
                            run_level)
-from shearbeam.stepper import State, initial_state
+from shearbeam.stepper import initial_state
 
-from oracles import fd_sources
+from oracles import fd_sources, random_state
 
 PI = np.pi
 CASE = reference_case()
@@ -74,22 +74,19 @@ class TestErrorNorm:
         # the eight terms written out field by field, each P1 function
         # sampled at the Gauss points from its own padded nodal values
         mesh, t = UniformMesh(M, 1.0), 0.7
-        rng = np.random.default_rng(M)
-        f = lambda: FeFunction(mesh, rng.normal(size=M - 1))
-        state = State(u=f(), phi=f(), psi=f(), w=f(), xi=f(), Phi=f(),
-                      vartheta=f(), t=0.0, n=0)
+        state = random_state(mesh, np.random.default_rng(M))
         s = 0.5 + 0.5 * np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 
         def gauss(field):
-            full = field.with_boundary()
+            full = np.pad(field, 1)
             return full[:-1, None] * (1.0 - s) + full[1:, None] * s
 
         def slope(field):
-            full = field.with_boundary()
+            full = np.pad(field, 1)
             return ((full[1:] - full[:-1]) / mesh.h)[:, None]
 
         x, c = mesh.quad_x, CASE
-        spring = FeFunction(mesh, state.phi.values - state.u.values)
+        spring = state.phi - state.u
         diffs = (
             gauss(state.xi) - c.u_t(x, t),
             slope(state.u) - c.u_x(x, t),

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from shearbeam import stepper
 from shearbeam.energy import EnergyRecorder, check_monotone, discrete_energy
-from shearbeam.femesh import (FeFunction, UniformMesh, interpolate, load_vector,
-                              stencils, toeplitz)
+from shearbeam.femesh import (FeFunction, UniformMesh, load_vector, stencils,
+                              toeplitz)
 from shearbeam.mms import error_norm, initial_data, reference_case, run_level
 from shearbeam.model import (InvalidTimeStep, PhysicalParams,
                              SimulationConfig, SingularSystem,
@@ -17,7 +17,8 @@ from shearbeam.model import (InvalidTimeStep, PhysicalParams,
 from shearbeam.stepper import (ProbeRecorder, SnapshotRecorder, advance,
                                assemble, initial_state, run)
 
-from oracles import dense, dense_step_oracle
+from oracles import (FIELDS, dense, dense_step_oracle, make_state,
+                     random_state)
 
 PARAMS = baseline_params()
 
@@ -26,12 +27,6 @@ def step_matrix(system):
     """The dense step matrix, column by column from `BlockSystem.matvec`."""
     return dense(lambda v: system.matvec(np.pad(v.reshape(-1, 4), ((1, 1), (0, 0)))),
                  system.n_unknowns)
-
-
-def random_state(mesh, rng, scale=1.0):
-    f = lambda: FeFunction(mesh, scale * rng.normal(size=mesh.n_interior))
-    return stepper.State(u=f(), phi=f(), psi=f(), w=f(), xi=f(), Phi=f(),
-                         vartheta=f(), t=0.0, n=0)
 
 
 class TestAssembly:
@@ -97,8 +92,8 @@ class TestAdvance:
         state = random_state(mesh, np.random.default_rng(0), scale=0.0)
         for _ in range(5):
             state = advance(system, state)
-            for name in ("u", "phi", "psi", "w", "xi", "Phi", "vartheta"):
-                assert np.all(getattr(state, name).values == 0.0)
+            for name in FIELDS:
+                assert np.all(getattr(state, name) == 0.0)
 
     @pytest.mark.parametrize("M", [2, 3])
     def test_matches_dense_uneliminated_oracle(self, M):
@@ -111,13 +106,12 @@ class TestAdvance:
         state = random_state(mesh, rng)
         loads = tuple(rng.normal(size=mesh.n_interior) for _ in range(4))
 
-        prev = {"u": state.u.values, "phi": state.phi.values, "w": state.w.values,
-                "xi": state.xi.values, "Phi": state.Phi.values,
-                "vartheta": state.vartheta.values}
+        prev = {"u": state.u, "phi": state.phi, "w": state.w,
+                "xi": state.xi, "Phi": state.Phi, "vartheta": state.vartheta}
         expected = dense_step_oracle(PARAMS, mesh, dt, prev, loads)
         got = advance(system, state, np.column_stack(loads))
         for name in ("xi", "Phi", "psi", "vartheta", "u", "phi", "w"):
-            assert_allclose(getattr(got, name).values, expected[name],
+            assert_allclose(getattr(got, name), expected[name],
                             rtol=1e-12, atol=1e-12)
 
     def test_update_rule_exactness(self):
@@ -128,9 +122,9 @@ class TestAdvance:
         for _ in range(10):
             prev = state
             state = advance(system, state)
-            assert_array_equal(state.u.values, prev.u.values + dt * state.xi.values)
-            assert_array_equal(state.phi.values, prev.phi.values + dt * state.Phi.values)
-            assert_array_equal(state.w.values, prev.w.values + dt * state.vartheta.values)
+            assert_array_equal(state.u, prev.u + dt * state.xi)
+            assert_array_equal(state.phi, prev.phi + dt * state.Phi)
+            assert_array_equal(state.w, prev.w + dt * state.vartheta)
 
     def test_one_step_energy_decay_baseline(self):
         mesh = UniformMesh(100, 1.0)
@@ -169,23 +163,29 @@ class TestAdvance:
         mesh = UniformMesh(9, 1.0)
         system = assemble(PARAMS, mesh, 0.01)
         states = [initial_state(sine_initial_data(1.0), mesh)]
-        names = ("u", "phi", "psi", "w", "xi", "Phi", "vartheta")
         snapshots = []
         for _ in range(4):
             states.append(advance(system, states[-1]))
-            snapshots.append({k: getattr(states[-1], k).values.copy() for k in names})
+            snapshots.append({k: getattr(states[-1], k).copy() for k in FIELDS})
         for state, snap in zip(states[1:], snapshots):
-            for k in names:
-                assert_array_equal(getattr(state, k).values, snap[k])
+            for k in FIELDS:
+                assert_array_equal(getattr(state, k), snap[k])
+
+    def test_fields_are_read_only(self):
+        # a write through a field view would change the state and its energy
+        mesh = UniformMesh(8, 1.0)
+        first = initial_state(sine_initial_data(1.0), mesh)
+        for state in (first, advance(assemble(PARAMS, mesh, 0.01), first)):
+            for name in FIELDS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(state, name)[:] = 0.0
 
     def test_nan_state_fails_the_step(self):
         mesh = UniformMesh(6, 1.0)
         system = assemble(PARAMS, mesh, 0.01)
-        f = lambda: FeFunction(mesh, np.zeros(mesh.n_interior))
-        bad = FeFunction(mesh, np.zeros(mesh.n_interior))
-        bad.values[2] = np.nan
-        state = stepper.State(u=f(), phi=f(), psi=f(), w=bad, xi=f(), Phi=f(),
-                              vartheta=f(), t=0.0, n=0)
+        fields = {name: np.zeros(mesh.n_interior) for name in FIELDS}
+        fields["w"][2] = np.nan
+        state = make_state(mesh, fields)
         with pytest.raises(SolverFailure, match="residual"):
             advance(system, state)
 
@@ -223,8 +223,8 @@ class TestRun:
             finals.append(run(PARAMS, config, sine_initial_data(1.0), observers=(rec,)))
             energies.append(np.array(rec.energies))
         assert_array_equal(energies[0], energies[1])
-        assert_array_equal(finals[0].u.values, finals[1].u.values)
-        assert_array_equal(finals[0].vartheta.values, finals[1].vartheta.values)
+        assert_array_equal(finals[0].u, finals[1].u)
+        assert_array_equal(finals[0].vartheta, finals[1].vartheta)
 
     def test_observer_cadence_and_snapshots(self):
         config = SimulationConfig(M=10, dt=0.1, T=1.0, snapshot_stride=4)
@@ -248,8 +248,7 @@ class TestRun:
         expected = []
         for _ in range(3):
             snap(state)
-            fields = [getattr(state, k).with_boundary()
-                      for k in ("u", "phi", "psi", "w")]
+            fields = [np.pad(getattr(state, k), 1) for k in ("u", "phi", "psi", "w")]
             expected += [(x, state.t, *(f[i] for f in fields))
                          for i, x in enumerate(mesh.nodes)]
             state = advance(system, state)
@@ -290,9 +289,9 @@ class TestRun:
             loads = load_vector(mesh, case.g(mesh.quad_x) @ case.tau(k * config.dt))
             state = advance(system, state, loads)
         assert final.n == state.n == 20
-        for name in ("u", "phi", "psi", "w", "xi", "Phi", "vartheta"):
-            assert_allclose(getattr(final, name).values,
-                            getattr(state, name).values, rtol=1e-13, atol=1e-13)
+        for name in FIELDS:
+            assert_allclose(getattr(final, name), getattr(state, name),
+                            rtol=1e-13, atol=1e-13)
 
     def test_sources_are_separable_in_run(self):
         # g is evaluated only while the mesh is set up, as often for 1 step
@@ -336,7 +335,7 @@ class TestRun:
         for _ in range(3):
             probe(state)
             for x in points:
-                expected = (state.t, *(float(getattr(state, k).at(x))
+                expected = (state.t, *(float(FeFunction(mesh, getattr(state, k)).at(x))
                                        for k in ("u", "phi", "psi", "w")))
                 assert probe.samples[x][-1] == expected
             state = advance(system, state)

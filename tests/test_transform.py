@@ -2,9 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import lapack
 
-from shearbeam.femesh import UniformMesh, l2_error
+from shearbeam.femesh import UniformMesh, l2_error, stencils, toeplitz
 from shearbeam.model import ValidationError, baseline_params
 from shearbeam.transform import EtaProblem, solve_eta
 
@@ -31,15 +32,16 @@ def sin_case_problem(params=PARAMS):
 class TestSolveEta:
     def test_zero_data_gives_exact_zero(self):
         eta = solve_eta(EtaProblem(zero, zero, zero, PARAMS), UniformMesh(16, 1.0))
-        assert np.all(eta.values == 0.0)
+        assert np.all(eta == 0.0)
 
     def test_manufactured_sin_solution(self):
-        eta = solve_eta(sin_case_problem(), UniformMesh(40, 1.0))
-        assert l2_error(eta, sin_pix) < 1e-3
+        mesh = UniformMesh(40, 1.0)
+        assert l2_error(mesh, solve_eta(sin_case_problem(), mesh), sin_pix) < 1e-3
 
     def test_manufactured_sin_convergence_order(self):
-        errs = [l2_error(solve_eta(sin_case_problem(), UniformMesh(M, 1.0)), sin_pix)
-                for M in (20, 40, 80, 160)]
+        meshes = [UniformMesh(M, 1.0) for M in (20, 40, 80, 160)]
+        errs = [l2_error(mesh, solve_eta(sin_case_problem(), mesh), sin_pix)
+                for mesh in meshes]
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 1.9)
 
@@ -52,7 +54,8 @@ class TestSolveEta:
                 theta0=sin_pix,
                 theta1=lambda x: -(PARAMS.kappa / PARAMS.rho3) * PI ** 2 * sin_pix(x),
                 phi1=zero, params=PARAMS)
-            norms.append(l2_error(solve_eta(problem, UniformMesh(M, 1.0)), zero))
+            mesh = UniformMesh(M, 1.0)
+            norms.append(l2_error(mesh, solve_eta(problem, mesh), zero))
         assert norms[0] < 1e-3            # measured 3.6e-4 at M=40
         assert norms[0] / norms[1] > 3.5  # O(h^2) halving
 
@@ -72,7 +75,7 @@ class TestSolveEta:
         eta_sum = solve_eta(sum_of_data, mesh)
         eta_a = solve_eta(EtaProblem(*da, PARAMS), mesh)
         eta_b = solve_eta(EtaProblem(*db, PARAMS), mesh)
-        assert_allclose(eta_sum.values, eta_a.values + eta_b.values,
+        assert_allclose(eta_sum, eta_a + eta_b,
                         rtol=1e-10, atol=1e-10)
 
     def test_phi1_enters_through_gradient(self):
@@ -83,7 +86,27 @@ class TestSolveEta:
         eta = solve_eta(problem, mesh)
         c = PARAMS.beta / (PARAMS.delta * PI)
         exact = lambda x: c * (1.0 - np.cos(PI * x) - 2.0 * x)
-        assert l2_error(eta, exact) < 5e-4
+        assert l2_error(mesh, eta, exact) < 5e-4
+
+    @pytest.mark.parametrize("M", [2, 3, 40])
+    def test_matches_tridiag_solve_bitwise(self, M):
+        # The stencil sum adds the three terms in TriDiag.matvec's order,
+        # so the solution has the bits of the TriDiag right-hand side's.
+        mesh, p = UniformMesh(M, 1.0), PARAMS
+        theta0, theta1 = sin_pix, lambda x: x * (1.0 - x)
+        phi1 = lambda x: np.sin(2.0 * PI * x)
+        x, n = mesh.nodes[1:-1], mesh.n_interior
+        mass, stiff, grad = (toeplitz(n, s) for s in stencils(mesh.h))
+        rhs = (-p.rho3 * mass.matvec(theta1(x)) - p.kappa * stiff.matvec(theta0(x))
+               - p.beta * grad.matvec(phi1(x)))
+        sub, main, sup = p.delta * stencils(mesh.h)[1]
+        off = max(n - 1, 1)
+        *_, expected, info = lapack.dgtsv(np.full(off, sub), np.full(n, main),
+                                          np.full(off, sup), rhs)
+        assert info == 0
+        eta = solve_eta(EtaProblem(theta0, theta1, phi1, p), mesh)
+        assert eta.shape == (M + 1,) and eta[0] == eta[-1] == 0.0
+        assert_array_equal(eta[1:-1], expected)
 
 
 class TestNonFiniteData:
@@ -95,7 +118,10 @@ class TestNonFiniteData:
             x = np.asarray(x, dtype=float)
             return np.where(np.isclose(x, 0.5), np.nan, np.sin(PI * x))
 
-        fields = {"theta0": zero, "theta1": zero, "phi1": zero, name: nan_at_middle}
+        # every field from `name` on is bad: the first of them is named
+        order = ("theta0", "theta1", "phi1")
+        fields = {k: nan_at_middle if order.index(k) >= order.index(name) else zero
+                  for k in order}
         with pytest.raises(ValidationError,
                            match=f"initial function {name} is not finite"):
             solve_eta(EtaProblem(**fields, params=PARAMS), UniformMesh(8, 1.0))
