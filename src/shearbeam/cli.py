@@ -10,8 +10,10 @@ Subcommands:
 
 All CSV files are written atomically (temp file + rename) with a fixed
 17-significant-digit float format, so repeated runs with identical inputs
-produce byte-identical outputs.  Exit codes: 0 success, 2 configuration
-error (a run too large for memory included), 3 I/O error, 4 solver failure.
+produce byte-identical outputs.  Each row is formatted in one `%.17g`
+step, one field per header column; a `None` cell is written empty.
+Exit codes: 0 success, 2 configuration error (a run too large for memory
+included), 3 I/O error, 4 solver failure.
 """
 
 from __future__ import annotations
@@ -44,7 +46,10 @@ def _fmt(value) -> str:
 def write_csv(path: Path, header: str, rows) -> None:
     """Stream `header` and one formatted line per row into a temp file in
     the target directory, then rename it over `path`: readers see the old
-    file or the whole new one, never a partial write."""
+    file or the whole new one, never a partial write.  A row is formatted
+    in one `%` step, one `%.17g` per header column, which gives the text
+    of `_fmt` per value; a row that `%` rejects goes through `_fmt`."""
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
@@ -54,7 +59,11 @@ def write_csv(path: Path, header: str, rows) -> None:
         with os.fdopen(fd, "w") as handle:
             handle.write(header + "\n")
             for row in rows:
-                handle.write(",".join(_fmt(v) for v in row) + "\n")
+                try:
+                    text = line % row
+                except TypeError:  # a None cell, or a row of another width
+                    text = ",".join(map(_fmt, row)) + "\n"
+                handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -225,7 +234,8 @@ def _cmd_convergence(args) -> int:
         params = model.baseline_params()
     levels = [(M, args.c / M) for M in _levels(args.levels)]
     for M, dt in levels:
-        model.validate(params, model.SimulationConfig(M=M, dt=dt, T=args.T))
+        model.validate(params, model.SimulationConfig(M=M, dt=dt, T=args.T),
+                       recorded=False)
 
     case = mms.reference_case(params)
     rows = mms.convergence_table(case, levels, args.T)

@@ -136,17 +136,48 @@ CONFIG_KEYS = tuple(PARAM_KEYS) + ("M", "dt", "T", "probes",
 # Validation
 # --------------------------------------------------------------------------
 
+# The most memory, in bytes, that `validate` lets a run plan to hold (see
+# `run_bytes`).  A larger run is rejected before anything is allocated; a
+# run under the cap can still meet a MemoryError, which the CLI reports as
+# a config error as well.
+MAX_RUN_BYTES = 8 * 2**30
+
+# Bytes the recorders keep per step (tracemalloc, CPython 3.11): one
+# (n, t, E) energy row, and one (t, u, phi, psi, w) row per probe point.
+_ENERGY_ROW_BYTES = 104
+_PROBE_ROW_BYTES = 184
+
+
 def num_steps(config: SimulationConfig) -> int:
     """Number of implicit steps: round(T/dt).  The run reports results at
     N*dt, which by validation lies within one dt of the requested T."""
     return int(round(config.T / config.dt))
 
 
-def validate(params: PhysicalParams, config: SimulationConfig) -> None:
+def run_bytes(config: SimulationConfig, recorded: bool = True) -> int:
+    """Estimated bytes a run holds: the (19, 4(M-1)) band and its LU
+    factor, four (M+1, 8) states and, when `recorded` (the recorders of
+    `simulate`), the snapshot fields kept until the end (ceil(N/stride) + 1
+    arrays of shape (M+1, 4)) and the per-step energy and probe rows.
+    `config` must pass `validate`'s other checks first (finite T/dt,
+    stride >= 1)."""
+    M, n = config.M, num_steps(config)
+    nbytes = 8 * (2 * 19 * 4 * (M - 1) + 4 * 8 * (M + 1))
+    if recorded:
+        snapshots = -(-n // config.snapshot_stride) + 1
+        nbytes += 8 * 4 * (M + 1) * snapshots
+        nbytes += (n + 1) * (_ENERGY_ROW_BYTES
+                             + _PROBE_ROW_BYTES * len(config.probe_points))
+    return nbytes
+
+
+def validate(params: PhysicalParams, config: SimulationConfig,
+             recorded: bool = True) -> None:
     """Check every invariant of a run's inputs.
 
     Raises NonPositiveParameter / InvalidMesh / InvalidTimeStep /
-    InvalidProbe naming the offending field.
+    InvalidProbe naming the offending field, and ConfigError when
+    `run_bytes(config, recorded)` exceeds MAX_RUN_BYTES.
     """
     for key, attr in PARAM_KEYS.items():
         value = getattr(params, attr)
@@ -176,6 +207,12 @@ def validate(params: PhysicalParams, config: SimulationConfig) -> None:
             raise InvalidProbe(f"probe point {x} outside (0, {params.L})")
         if x in config.probe_points[:i]:
             raise InvalidProbe(f"probe point {x} given twice")
+
+    nbytes = run_bytes(config, recorded)
+    if nbytes > MAX_RUN_BYTES:
+        raise ConfigError(
+            f"run too large: M={config.M} and {n} steps would hold about "
+            f"{nbytes / 2**30:.3g} GiB, above the {MAX_RUN_BYTES / 2**30:g} GiB cap")
 
 
 _ENDPOINT_ATOL = 1e-9  # largest |f(0)|, |f(L)| that counts as vanishing

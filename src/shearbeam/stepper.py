@@ -296,10 +296,11 @@ def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
     evaluated once, and `tau` maps a time to K values and is called once
     per step, at its new time level.  Observers are callables invoked
     with the initial state and with the state after every step; recorders
-    decide their own strides.  The run is deterministic: identical inputs give
-    bit-identical states.
+    decide their own strides.  With observers, the size check of
+    `validate` counts the rows that `simulate`'s recorders keep.  The run
+    is deterministic: identical inputs give bit-identical states.
     """
-    validate(params, config)
+    validate(params, config, recorded=bool(observers))
     validate_initial_data(init, params.L)
     mesh = UniformMesh(config.M, params.L)
     system = assemble(params, mesh, config.dt)
@@ -346,9 +347,13 @@ class ProbeRecorder:
                            map(state.mesh.locate, self.points)]
         t, s = state.t, state._s
         for x, (e, frac) in zip(self.points, self._cells):
-            lo, hi = s[e].tolist(), s[e + 1].tolist()
+            lo, hi = s[e:e + 2].tolist()
             self.samples[x].append(
-                (t, *(lo[k] * (1.0 - frac) + hi[k] * frac for k in _OUTPUT)))
+                (t,
+                 lo[_U] * (1.0 - frac) + hi[_U] * frac,
+                 lo[_DPHI] * (1.0 - frac) + hi[_DPHI] * frac,
+                 lo[_PSI] * (1.0 - frac) + hi[_PSI] * frac,
+                 lo[_W] * (1.0 - frac) + hi[_W] * frac))
 
 
 class SnapshotRecorder:
@@ -374,5 +379,5 @@ class SnapshotRecorder:
     def rows(self):
         """(x, t, u, phi, psi, w) rows, time-major then node-major."""
         for t, fields in zip(self.times, self.fields):
-            for x, (u, phi, psi, w) in zip(self.nodes, fields.tolist()):
-                yield (x, t, u, phi, psi, w)
+            for x, f in zip(self.nodes, fields.tolist()):
+                yield (x, t, *f)

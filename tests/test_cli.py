@@ -1,6 +1,8 @@
+import math
 import os
 import stat
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,36 @@ class TestFloatFormat:
         assert _fmt(float("inf")) == "inf"
         assert _fmt(float("nan")) == "nan"
         assert _fmt(np.float64(0.1)) == "0.10000000000000001"
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("header, rows", [
+        ("a,b,c,d,e", [(-0.0, math.inf, -math.inf, math.nan, 5e-324),
+                       (1e-310, 2 ** 53 + 1, np.int64(2000), np.float64(0.1), 7)]),
+        ("M,dt,error,ratio,order", [(20, 0.002, 1.5e-3, None, None),
+                                    (40, 0.001, 7e-4, 2.1, 1.07)]),
+        ("a,b", [(1.0, 2.0, 3.0), (4.0,), (5.0, 6.0)]),
+        ("x", [(0.5,), (-0.0,), (None,)]),
+    ], ids=["special-values", "none-cells", "other-widths", "one-column"])
+    def test_lines_match_per_value_format(self, tmp_path, header, rows):
+        path = tmp_path / "table.csv"
+        cli.write_csv(path, header, rows)
+        expected = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+        assert path.read_bytes() == (header + "\n" + expected).encode()
+
+    def test_streams_rows(self, tmp_path):
+        # The file is over 3 MB, and so is any string of all its lines;
+        # the writer holds one row at a time.
+        rows = ((n, n * 0.1, math.pi * n, -n / 7.0, math.e * n, 1.0 / (n + 1))
+                for n in range(50_000))
+        tracemalloc.start()
+        try:
+            cli.write_csv(tmp_path / "big.csv", "n,a,b,c,d,e", rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "big.csv").stat().st_size > 3_000_000
+        assert peak < 2 ** 20
 
 
 class TestSimulate:

@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from shearbeam import model
+from shearbeam import model, stepper
+from shearbeam.energy import EnergyRecorder
 from shearbeam.model import (ConfigError, InvalidMesh, InvalidProbe,
                              InvalidTimeStep, NonPositiveParameter,
                              SimulationConfig, baseline_params,
@@ -84,6 +86,41 @@ class TestValidate:
     def test_snapshot_stride_positive(self):
         with pytest.raises(NonPositiveParameter, match="snapshot_stride"):
             validate(baseline_params(), good_config(snapshot_stride=0))
+
+    # validate allocates nothing, so these sizes are safe to test.
+    @pytest.mark.parametrize("kw", [dict(M=10 ** 9), dict(M=10 ** 17), dict(T=1e12)],
+                             ids=["M1e9", "M1e17", "steps2e14"])
+    def test_run_too_large_rejected(self, kw):
+        with pytest.raises(ConfigError, match="run too large"):
+            validate(baseline_params(), good_config(**kw))
+
+    def test_recorder_terms(self):
+        # 4e6 steps at M=100 keep 13 GB of snapshots at stride 1 and 0.65 GB
+        # at stride 20; a run without recorders (a convergence level) keeps
+        # none.
+        params, config = baseline_params(), good_config(T=2e4, snapshot_stride=1)
+        with pytest.raises(ConfigError, match="run too large"):
+            validate(params, config)
+        validate(params, dataclasses.replace(config, snapshot_stride=20))
+        validate(params, config, recorded=False)
+
+    @pytest.mark.parametrize("M, T, stride, probes",
+                             [(100, 0.4, 1, (0.6,)), (20, 2.0, 7, (0.2, 0.6))])
+    def test_run_bytes_tracks_recorded_run(self, M, T, stride, probes):
+        params = baseline_params()
+        config = good_config(M=M, dt=1e-3, T=T, snapshot_stride=stride,
+                             probe_points=probes)
+        n = model.num_steps(config)
+        snaps = stepper.SnapshotRecorder(stride, n)
+        recorders = (EnergyRecorder(params), stepper.ProbeRecorder(probes), snaps)
+        tracemalloc.start()
+        try:
+            stepper.run(params, config, sine_initial_data(1.0), observers=recorders)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(snaps.fields) == -(-n // stride) + 1
+        assert 0.5 < peak / model.run_bytes(config) < 2.0
 
     def test_num_steps_rounding(self):
         assert model.num_steps(good_config(dt=0.005, T=10.0)) == 2000
