@@ -222,7 +222,7 @@ def _cmd_simulate(args) -> int:
     print(f"completed {n_final} steps to t = {_fmt(final.t)}")
     print(f"final energy E = {_fmt(energy_rec.energies[-1])}")
     if case is not None:
-        print(f"final composite error = {_fmt(mms.error_norm(final, case, final.t))}")
+        print(f"final composite error = {_fmt(mms.error_norm(final, case))}")
     print(f"wrote {', '.join(written)} in {out}")
     return 0
 

@@ -40,6 +40,8 @@ from .model import InvalidMesh, ValidationError
 # 3-point Gauss-Legendre rule mapped to the reference element [0, 1].
 _GAUSS_S = 0.5 + 0.5 * np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 _GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
+# Largest |f(0)|, |f(L)| that counts as vanishing, over max(1, max|f|).
+ENDPOINT_RTOL = 1e-9
 
 
 class UniformMesh:
@@ -137,22 +139,27 @@ def toeplitz(n: int, stencil) -> TriDiag:
 
 
 def interpolate_fields(source, names, mesh: UniformMesh) -> np.ndarray:
-    """Nodal interpolants of the callables `source.<name>`, which must
-    vanish at 0 and L, as the columns of one (M+1, len(names)) array with
-    zero end rows.  Raises ValidationError naming the first field with a
-    non-finite sample.
+    """Nodal interpolants of the callables `source.<name>`, each called
+    once on `mesh.nodes`, as the columns of one (M+1, len(names)) array
+    with end rows set to 0.  Raises ValidationError naming the first field
+    with a non-finite sample or with ends that do not vanish (ENDPOINT_RTOL).
 
     For P1 elements in one dimension the nodal interpolant coincides with
     the elliptic projection onto the discrete space, since that projection
     preserves nodal values; no solve is needed.
     """
-    out = np.zeros((mesh.M + 1, len(names)))
+    out = np.empty((mesh.M + 1, len(names)))
     for k, name in enumerate(names):
-        out[1:-1, k] = getattr(source, name)(mesh.nodes[1:-1])
-    for name, finite in zip(names, np.isfinite(out).all(axis=0)):
-        if not finite:
+        f = out[:, k]
+        f[:] = getattr(source, name)(mesh.nodes)
+        if not np.isfinite(f).all():
+            raise ValidationError(f"initial function {name} is not finite at every node")
+        ends = np.abs(f[[0, -1]])
+        if ends.max() > ENDPOINT_RTOL * max(1.0, np.abs(f).max()):
             raise ValidationError(
-                f"initial function {name} is not finite at every interior node")
+                f"initial function {name} does not vanish at the endpoints "
+                f"(|{name}(0)|={ends[0]:.2e}, |{name}(L)|={ends[1]:.2e})")
+    out[[0, -1]] = 0.0
     return out
 
 

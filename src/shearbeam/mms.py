@@ -143,9 +143,9 @@ def initial_data(case: ManufacturedCase) -> InitialData:
                        psi0=at0(case.psi), w0=at0(case.w), w1=at0(case.w_t))
 
 
-def error_norm(state: stepper.State, case: ManufacturedCase, t: float) -> float:
-    """Composite error of a state against the exact solution at time t."""
-    s, mesh = state._s, state.mesh
+def error_norm(state: stepper.State, case: ManufacturedCase) -> float:
+    """Composite error of a state against the exact solution at its time."""
+    s, mesh, t = state._s, state.mesh, state.t
     xq = mesh.quad_x
     # Gauss values (M, 3, 8) and element slopes (M, 1, 8) of every column.
     q = at_quad(s)
@@ -181,7 +181,7 @@ def run_level(case: ManufacturedCase, M: int, dt: float, T: float) -> float:
     """Run one refinement level and return its final-time composite error."""
     config = SimulationConfig(M=M, dt=dt, T=T)
     final = stepper.run(case.params, config, initial_data(case), sources=case)
-    return error_norm(final, case, final.t)
+    return error_norm(final, case)
 
 
 def convergence_table(case: ManufacturedCase, levels, T: float) -> list[ConvergenceRow]:

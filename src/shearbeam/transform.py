@@ -49,8 +49,8 @@ class EtaProblem:
 def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> np.ndarray:
     """P1 solution of the weak offset problem on the given mesh, as its
     (M+1,) nodal values with zero end entries.  Raises ValidationError
-    naming the field when a sample of theta0, theta1 or phi1 is not finite,
-    and when the matrix or right-hand side is not."""
+    naming theta0, theta1 or phi1 when it is not finite or not zero at the
+    ends, and when the matrix or right-hand side is not finite."""
     p = problem.params
     v = interpolate_fields(problem, ("theta0", "theta1", "phi1"), mesh)
     mass, stiff, grad = stencils(mesh.h)

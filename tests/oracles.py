@@ -58,11 +58,11 @@ def make_state(mesh, fields, t=0.0, n=0):
     return State(mesh, s, t, n)
 
 
-def random_state(mesh, rng, scale=1.0):
-    """A state at t = 0 with independent normal(0, scale) interior values,
+def random_state(mesh, rng, scale=1.0, t=0.0):
+    """A state at time t with independent normal(0, scale) interior values,
     drawn field by field in FIELDS order."""
     return make_state(mesh, {name: scale * rng.normal(size=mesh.n_interior)
-                             for name in FIELDS})
+                             for name in FIELDS}, t)
 
 
 def quadrature_matrices(mesh):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from shearbeam.femesh import (FeFunction, UniformMesh, at_quad,
                               interpolate_fields, l2_error, load_vector,
                               stencils, toeplitz)
-from shearbeam.model import InvalidMesh
+from shearbeam.model import InvalidMesh, ValidationError
 
 from oracles import dense, quadrature_matrices
 
@@ -83,15 +83,41 @@ class TestElementMatrices:
 class TestInterpolation:
     def test_sin_quarter_points(self):
         # one column per field, end rows exactly zero even where the
-        # callable is not sampled as zero (cos does not vanish at 0 or L)
+        # callable is not sampled as zero (sin(pi) is 1.2e-16)
         source = SimpleNamespace(s=lambda x: np.sin(PI * x),
-                                 c=lambda x: np.cos(PI * x))
-        v = interpolate_fields(source, ("s", "c"), UniformMesh(4, 1.0))
+                                 z=lambda x: 0.0 * x)
+        v = interpolate_fields(source, ("s", "z"), UniformMesh(4, 1.0))
         assert v.shape == (5, 2)
         assert np.all(v[[0, -1]] == 0.0)
         r = np.sqrt(2) / 2
         assert_allclose(v[1:-1, 0], [r, 1.0, r], rtol=1e-15)
-        assert_allclose(v[1:-1, 1], [r, 0.0, -r], rtol=1e-15, atol=1e-16)
+        assert np.all(v[:, 1] == 0.0)
+
+    def test_field_not_vanishing_at_ends_is_rejected(self):
+        # cos is +-1 at 0 and L: the second field is named, not truncated
+        source = SimpleNamespace(s=lambda x: np.sin(PI * x),
+                                 c=lambda x: np.cos(PI * x))
+        with pytest.raises(ValidationError,
+                           match=r"initial function c does not vanish"):
+            interpolate_fields(source, ("s", "c"), UniformMesh(4, 1.0))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e10])
+    def test_end_tolerance_is_relative_to_the_field(self, scale):
+        # sin(pi)*1e10 = 1.2e-6 is zero at the field's scale; an end value
+        # of 2e-9 times max(1, the field's size) is not
+        f = lambda x: scale * np.sin(PI * x)
+        assert nodal(f, UniformMesh(8, 1.0))[-1] == 0.0
+        with pytest.raises(ValidationError, match="f does not vanish"):
+            nodal(lambda x: f(x) + 2e-9 * max(scale, 1.0), UniformMesh(8, 1.0))
+
+    def test_each_callable_is_called_once_on_all_nodes(self):
+        mesh, calls = UniformMesh(6, 1.0), []
+        def f(x):
+            calls.append(x)
+            return np.sin(PI * x)
+        nodal(f, mesh)
+        assert len(calls) == 1
+        assert_array_equal(calls[0], mesh.nodes)
 
     def test_zero_function(self):
         v = nodal(lambda x: 0.0 * x, UniformMesh(8, 1.0))

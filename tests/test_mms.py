@@ -63,7 +63,7 @@ class TestErrorNorm:
         errs = []
         for M in (20, 40, 80):
             state = initial_state(initial_data(CASE), UniformMesh(M, 1.0))
-            errs.append(error_norm(state, CASE, 0.0))
+            errs.append(error_norm(state, CASE))
         c_coarse = errs[0] * 20  # error ~ c*h estimated at the coarsest level
         assert errs[1] <= 1.05 * c_coarse / 40
         assert errs[2] <= 1.05 * c_coarse / 80
@@ -74,7 +74,7 @@ class TestErrorNorm:
         # the eight terms written out field by field, each P1 function
         # sampled at the Gauss points from its own padded nodal values
         mesh, t = UniformMesh(M, 1.0), 0.7
-        state = random_state(mesh, np.random.default_rng(M))
+        state = random_state(mesh, np.random.default_rng(M), t=t)
         s = 0.5 + 0.5 * np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
 
         def gauss(field):
@@ -98,7 +98,7 @@ class TestErrorNorm:
             slope(state.w) - c.w_x(x, t),
         )
         expected = np.sqrt(sum(integrate(mesh, d ** 2) for d in diffs))
-        assert error_norm(state, CASE, t) == expected
+        assert error_norm(state, CASE) == expected
 
 
 class TestConvergenceTable:

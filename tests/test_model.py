@@ -9,11 +9,11 @@ from hypothesis import given, strategies as st
 
 from shearbeam import model, stepper
 from shearbeam.energy import EnergyRecorder
+from shearbeam.femesh import UniformMesh
 from shearbeam.model import (ConfigError, InvalidMesh, InvalidProbe,
                              InvalidTimeStep, NonPositiveParameter,
                              SimulationConfig, baseline_params,
-                             parse_config, sine_initial_data, validate,
-                             validate_initial_data)
+                             parse_config, sine_initial_data, validate)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -127,23 +127,37 @@ class TestValidate:
         assert model.num_steps(good_config(dt=0.3, T=1.0)) == 3
 
 
+MESH = UniformMesh(8, 1.0)
+
+
 class TestInitialData:
     def test_sine_data_vanishes_at_ends(self):
         init = sine_initial_data(1.0)
-        validate_initial_data(init, 1.0)
-        assert init.u0(np.array([0.5])) == pytest.approx(1.0)
+        state = stepper.initial_state(init, MESH)
+        assert state.u[3] == pytest.approx(1.0)  # the node at x = 0.5
+
+    def test_large_data_vanishing_at_its_scale_accepted(self):
+        # 1e10*sin(pi) = 1.2e-6 at x = 1: zero relative to the field
+        big = lambda x: 1e10 * np.sin(np.pi * x)
+        init = dataclasses.replace(sine_initial_data(1.0), phi1=big)
+        state = stepper.initial_state(init, MESH)
+        assert state.Phi[3] == pytest.approx(1e10)
+        config = SimulationConfig(M=MESH.M, dt=0.01, T=0.01)
+        assert stepper.run(baseline_params(), config, init).n == 1
 
     def test_incompatible_data_rejected(self):
         bad = dataclasses.replace(sine_initial_data(1.0), psi0=lambda x: x + 1.0)
-        with pytest.raises(model.ValidationError, match="psi0"):
-            validate_initial_data(bad, 1.0)
+        with pytest.raises(model.ValidationError,
+                           match="initial function psi0 does not vanish"):
+            stepper.initial_state(bad, MESH)
 
     def test_nan_data_rejected(self):
-        # max|NaN| > atol is False: the check has to be written to fail on NaN.
+        # NaN > tol is False: a NaN must be rejected before the end test.
         bad = dataclasses.replace(sine_initial_data(1.0),
                                   w1=lambda x: np.full_like(x, np.nan))
-        with pytest.raises(model.ValidationError, match="w1"):
-            validate_initial_data(bad, 1.0)
+        with pytest.raises(model.ValidationError,
+                           match="initial function w1 is not finite"):
+            stepper.initial_state(bad, MESH)
 
 
 class TestParseConfig:

@@ -126,6 +126,14 @@ class TestNonFiniteData:
                            match=f"initial function {name} is not finite"):
             solve_eta(EtaProblem(**fields, params=PARAMS), UniformMesh(8, 1.0))
 
+    def test_rejects_field_not_vanishing_at_ends(self):
+        # cos(pi x) is +-1 at the ends; truncating it to zero there would
+        # give eta = -1 at every interior node
+        with pytest.raises(ValidationError,
+                           match="initial function theta0 does not vanish"):
+            solve_eta(EtaProblem(lambda x: np.cos(PI * x), zero, zero, PARAMS),
+                      UniformMesh(8, 1.0))
+
     def test_rejects_non_finite_right_hand_side(self):
         # Finite fields, but rho3 = inf times the zero theta1 gives NaN
         # (numpy's warning about that product is not what is tested).
