@@ -3,9 +3,9 @@ suspended from an elastic cable, with energy-decay diagnostics and a
 manufactured-solution verification harness."""
 
 from .model import (ConfigError, DegenerateWindow, InitialData, InvalidMesh,
-                    InvalidProbe, InvalidTimeStep, NonPositiveParameter,
-                    PhysicalParams, SimulationConfig, SingularSystem,
-                    SolverFailure, ValidationError,
+                    InvalidProbe, InvalidTimeStep, NonFiniteStep,
+                    NonPositiveParameter, PhysicalParams, SimulationConfig,
+                    SingularSystem, SolverFailure, ValidationError,
                     baseline_params, parse_config, sine_initial_data, validate)
 from .femesh import UniformMesh, interpolate_fields, l2_error, load_vector
 from .transform import EtaProblem, solve_eta

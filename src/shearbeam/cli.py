@@ -22,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,10 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_SOLVER = 4
 
+# Bytes `eta-check` holds per node of its largest mesh (tracemalloc,
+# CPython 3.11): every level's mesh, one offset solve and its error.
+_ETA_NODE_BYTES = 144
+
 
 def _fmt(value) -> str:
     """17 significant digits: round-trips IEEE doubles exactly, and prints
@@ -48,15 +51,14 @@ def write_csv(path: Path, header: str, rows) -> None:
     the target directory, then rename it over `path`: readers see the old
     file or the whole new one, never a partial write.  A row is formatted
     in one `%` step, one `%.17g` per header column, which gives the text
-    of `_fmt` per value; a row that `%` rejects goes through `_fmt`."""
+    of `_fmt` per value; a row that `%` rejects goes through `_fmt`.  The
+    temp file gets `open()`'s mode and never replaces an existing file."""
     line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+    handle = open(tmp, "x")  # outside the try: a name in use is not ours to unlink
     try:
-        umask = os.umask(0)  # os.umask sets the mask; this reads it back
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)  # open()'s mode, not mkstemp's 0o600
-        with os.fdopen(fd, "w") as handle:
+        with handle:
             handle.write(header + "\n")
             for row in rows:
                 try:
@@ -66,8 +68,7 @@ def write_csv(path: Path, header: str, rows) -> None:
                 handle.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -208,6 +209,12 @@ def _cmd_simulate(args) -> int:
 
     final = stepper.run(params, config, init, sources=sources,
                         observers=(energy_rec, probe_rec, snap_rec))
+    bad = np.flatnonzero(~np.isfinite(energy_rec.energies))
+    if bad.size:
+        k = bad[0]
+        raise model.ValidationError(
+            f"step {energy_rec.steps[k]} (t = {energy_rec.times[k]:.9g}): "
+            f"the energy is not finite")
 
     out = Path(config.output_dir)
     write_energy_csv(out / "energy.csv", energy_rec)
@@ -233,10 +240,6 @@ def _cmd_convergence(args) -> int:
     else:
         params = model.baseline_params()
     levels = [(M, args.c / M) for M in _levels(args.levels)]
-    for M, dt in levels:
-        model.validate(params, model.SimulationConfig(M=M, dt=dt, T=args.T),
-                       recorded=False)
-
     case = mms.reference_case(params)
     rows = mms.convergence_table(case, levels, args.T)
 
@@ -288,7 +291,9 @@ def _cmd_eta_check(args) -> int:
     exact = lambda x: np.sin(pi * x)
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     # Every level is checked before the first line is printed.
-    meshes = [femesh.UniformMesh(M, params.L) for M in _levels(args.levels)]
+    levels = _levels(args.levels)
+    model.check_run_bytes(_ETA_NODE_BYTES * (levels[-1] + 1), f"M={levels[-1]}")
+    meshes = [femesh.UniformMesh(M, params.L) for M in levels]
     problem = transform.EtaProblem(
         theta0=zero,
         theta1=lambda x: -(params.delta / params.rho3) * pi ** 2 * np.sin(pi * x),

@@ -142,7 +142,8 @@ def interpolate_fields(source, names, mesh: UniformMesh) -> np.ndarray:
     """Nodal interpolants of the callables `source.<name>`, each called
     once on `mesh.nodes`, as the columns of one (M+1, len(names)) array
     with end rows set to 0.  Raises ValidationError naming the first field
-    with a non-finite sample or with ends that do not vanish (ENDPOINT_RTOL).
+    with a non-finite sample or with ends that do not vanish (ENDPOINT_RTOL);
+    the functions are called without numpy warnings, so that is the one report.
 
     For P1 elements in one dimension the nodal interpolant coincides with
     the elliptic projection onto the discrete space, since that projection
@@ -151,7 +152,8 @@ def interpolate_fields(source, names, mesh: UniformMesh) -> np.ndarray:
     out = np.empty((mesh.M + 1, len(names)))
     for k, name in enumerate(names):
         f = out[:, k]
-        f[:] = getattr(source, name)(mesh.nodes)
+        with np.errstate(all="ignore"):
+            f[:] = getattr(source, name)(mesh.nodes)
         if not np.isfinite(f).all():
             raise ValidationError(f"initial function {name} is not finite at every node")
         ends = np.abs(f[[0, -1]])

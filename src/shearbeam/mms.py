@@ -25,7 +25,7 @@ import numpy as np
 from . import stepper
 from .femesh import at_quad, integrate
 from .model import (InitialData, PhysicalParams, SimulationConfig,
-                    baseline_params)
+                    baseline_params, validate)
 
 SpaceTimeField = Callable[[np.ndarray, float], np.ndarray]
 
@@ -185,8 +185,11 @@ def run_level(case: ManufacturedCase, M: int, dt: float, T: float) -> float:
 
 
 def convergence_table(case: ManufacturedCase, levels, T: float) -> list[ConvergenceRow]:
-    """Run every (M, dt) level in turn and tabulate errors with halving ratios."""
+    """Run every (M, dt) level in turn and tabulate errors with halving
+    ratios.  Every level is validated before the first one runs."""
     levels = list(levels)
+    for M, dt in levels:
+        validate(case.params, SimulationConfig(M=M, dt=dt, T=T), recorded=False)
     errors = [run_level(case, M, dt, T) for M, dt in levels]
 
     rows: list[ConvergenceRow] = []

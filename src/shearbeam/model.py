@@ -61,6 +61,10 @@ class SolverFailure(RuntimeError):
     """A linear solve failed or its residual exceeded tolerance."""
 
 
+class NonFiniteStep(SolverFailure):
+    """A step's residual is not finite: its numbers left double range."""
+
+
 class SingularSystem(SolverFailure):
     """A linear system factorization hit a zero pivot (invalid inputs)."""
 
@@ -208,11 +212,15 @@ def validate(params: PhysicalParams, config: SimulationConfig,
         if x in config.probe_points[:i]:
             raise InvalidProbe(f"probe point {x} given twice")
 
-    nbytes = run_bytes(config, recorded)
+    check_run_bytes(run_bytes(config, recorded), f"M={config.M} and {n} steps")
+
+
+def check_run_bytes(nbytes: int, what: str) -> None:
+    """Raise ConfigError when `what` would hold more than MAX_RUN_BYTES."""
     if nbytes > MAX_RUN_BYTES:
         raise ConfigError(
-            f"run too large: M={config.M} and {n} steps would hold about "
-            f"{nbytes / 2**30:.3g} GiB, above the {MAX_RUN_BYTES / 2**30:g} GiB cap")
+            f"run too large: {what} would hold about {nbytes / 2**30:.3g} GiB, "
+            f"above the {MAX_RUN_BYTES / 2**30:g} GiB cap")
 
 
 # --------------------------------------------------------------------------

@@ -61,9 +61,9 @@ import numpy as np
 
 from ._lapack import lapack
 from .femesh import UniformMesh, interpolate_fields, load_vector, stencils
-from .model import (InitialData, PhysicalParams, SimulationConfig,
-                    SingularSystem, SolverFailure, ValidationError, num_steps,
-                    validate)
+from .model import (InitialData, NonFiniteStep, PhysicalParams,
+                    SimulationConfig, SingularSystem, SolverFailure,
+                    ValidationError, num_steps, validate)
 
 # Band widths of the interleaved ordering: the farthest coupling is
 # vartheta_i <-> Phi_{i +/- 1}, six positions away.
@@ -77,8 +77,9 @@ _OUTPUT = (_U, _DPHI, _PSI, _W)
 # Keeps the displacement columns of a state and zeroes the rest.
 _DISPLACEMENTS = np.diag([0.0] * 4 + [1.0] * 4)
 
-# Largest backward error |A x - rhs| / (|A|_inf |x|) `advance` accepts;
-# unlike |A x - rhs| / |rhs|, it does not grow with M or 1/dt.
+# Largest backward error |A x - rhs| / (|A|_inf |x|) `advance` accepts,
+# in 2-norms or else in inf-norms; unlike |A x - rhs| / |rhs|, it does
+# not grow with M or 1/dt.
 RESIDUAL_TOL = 1e-12
 
 
@@ -263,7 +264,9 @@ def assemble(params: PhysicalParams, mesh: UniformMesh, dt: float) -> BlockSyste
 
 def advance(system: BlockSystem, state: State, loads=None) -> State:
     """One implicit step.  `loads`, when given, are the assembled sources at
-    the new time level as a node-major (M-1, 4) array."""
+    the new time level as a node-major (M-1, 4) array.  Raises
+    SolverFailure when the solve fails the RESIDUAL_TOL test, as
+    NonFiniteStep when its residual is not finite."""
     s = state._s
     rhs = _windows(s) @ system._R
     if loads is not None:
@@ -277,9 +280,15 @@ def advance(system: BlockSystem, state: State, loads=None) -> State:
     residual = math.sqrt(np.vdot(r, r))
     bound = RESIDUAL_TOL * system._A_norm * math.sqrt(np.vdot(x_new, x_new))
     if not residual <= bound:
-        raise SolverFailure(
-            f"linear solve residual {residual:.3e} exceeds "
-            f"{RESIDUAL_TOL:.1e} * |A| * |x| = {bound:.3e}")
+        # vdot overflows once entries pass about 1e154: decide again in
+        # the inf-norm, which cannot overflow and which a NaN still fails.
+        residual = np.abs(r).max()
+        bound = RESIDUAL_TOL * system._A_norm * np.abs(x_new).max()
+        finite = np.isfinite(residual)
+        if not (finite and residual <= bound):
+            raise (SolverFailure if finite else NonFiniteStep)(
+                f"linear solve residual {residual:.3e} exceeds "
+                f"{RESIDUAL_TOL:.1e} * |A| * |x| = {bound:.3e}")
 
     # (x_new, d + dt*x_new) with d = s[:, 4:], bit for bit: each entry of
     # either product has one nonzero term.  Half the cost of column slices.
@@ -299,11 +308,14 @@ def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
     evaluated once, and `tau` maps a time to K values and is called once
     per step, at its new time level.  Observers are callables invoked
     with the initial state and with the state after every step; recorders
-    decide their own strides.  With observers, the size check of
-    `validate` counts the rows that `simulate`'s recorders keep.  The run
-    is deterministic: identical inputs give bit-identical states.
+    decide their own strides, and their memory is the caller's to size:
+    `validate` counts only the run's own arrays.  A step whose numbers
+    leave double range raises ValidationError naming the step, and the
+    sources when its loads are not finite; any other failed step raises
+    SolverFailure.  The run is deterministic: identical inputs give
+    bit-identical states.
     """
-    validate(params, config, recorded=bool(observers))
+    validate(params, config, recorded=False)
     mesh = UniformMesh(config.M, params.L)
     # Every input is checked before the step matrix is factorized.
     state = initial_state(init, mesh)
@@ -315,19 +327,29 @@ def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
     if spatial is not None and not np.isfinite(spatial).all():
         raise ValidationError("source loads g are not finite")
     system = assemble(params, mesh, config.dt)
-    for obs in observers:
-        obs(state)
 
-    loads = None
-    for k in range(1, num_steps(config) + 1):
-        if spatial is not None:
-            loads = (spatial @ sources.tau(k * config.dt)).reshape(-1, 4)
-        try:
-            state = advance(system, state, loads)
-        except SolverFailure as exc:
-            raise SolverFailure(f"step {k} (t = {k * config.dt:.9g}): {exc}") from None
+    # Values that leave double range are reported by the step's check,
+    # not as numpy warnings; the error state is set once per run.
+    with np.errstate(over="ignore", invalid="ignore"):
         for obs in observers:
             obs(state)
+        loads = None
+        for k in range(1, num_steps(config) + 1):
+            if spatial is not None:
+                loads = (spatial @ sources.tau(k * config.dt)).reshape(-1, 4)
+            try:
+                state = advance(system, state, loads)
+            except SolverFailure as exc:
+                at = f"step {k} (t = {k * config.dt:.9g})"
+                if not isinstance(exc, NonFiniteStep):
+                    raise SolverFailure(f"{at}: {exc}") from None
+                # The inputs were checked finite before step 1, so the
+                # step's numbers left double range, through tau or the state.
+                if loads is not None and not np.isfinite(loads).all():
+                    raise ValidationError(f"{at}: the source loads are not finite") from None
+                raise ValidationError(f"{at}: the solution leaves double range") from None
+            for obs in observers:
+                obs(state)
     return state
 
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import stat
 import struct
 import tracemalloc
@@ -63,6 +64,23 @@ class TestWriteCsv:
         cli.write_csv(path, header, rows)
         expected = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
         assert path.read_bytes() == (header + "\n" + expected).encode()
+
+    def test_never_sets_the_umask(self, tmp_path, monkeypatch):
+        # the mask is process-wide; open() applies it without changing it
+        def umask(mask):
+            raise AssertionError("write_csv called os.umask")
+        monkeypatch.setattr(os, "umask", umask)
+        cli.write_csv(tmp_path / "a.csv", "a", [(1.0,)])
+        assert (tmp_path / "a.csv").read_text() == "a\n1\n"
+
+    def test_never_takes_over_an_existing_temp_name(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "urandom", lambda n: bytes(n))
+        taken = tmp_path / ("a.csv." + "00" * 6)
+        taken.write_text("someone else's")
+        with pytest.raises(FileExistsError):
+            cli.write_csv(tmp_path / "a.csv", "a", [(1.0,)])
+        assert taken.read_text() == "someone else's"
+        assert not (tmp_path / "a.csv").exists()
 
     def test_streams_rows(self, tmp_path):
         # The file is over 3 MB, and so is any string of all its lines;
@@ -210,7 +228,8 @@ class TestErrorPaths:
                                       "non-utf8-energy", "eta-levels",
                                       "K-overflow", "step-overflow",
                                       "convergence-step-overflow", "huge-M",
-                                      "eta-huge-M"])
+                                      "eta-huge-M", "eta-too-large", "L-overflow",
+                                      "tau-overflow"])
     def test_bad_input_is_one_line_exit_2(self, case, tmp_path, capsys):
         cfg = tiny_config(tmp_path, **{"T = 0.5": "T = 0.02", "dt = 0.05": "dt = 0.01"})
         energy_csv = tmp_path / "energy.csv"
@@ -268,12 +287,42 @@ class TestErrorPaths:
                                               "--c", "1e-310", "--T", "1",
                                               "--output-dir", str(tmp_path / "conv")],
                 "huge-M": ["simulate", "--config", str(cfg), "--M", str(2 * 10 ** 18)],
-                "eta-huge-M": ["eta-check", "--levels", f"2,{2 * 10 ** 18}"]}[case]
+                "eta-huge-M": ["eta-check", "--levels", f"2,{2 * 10 ** 18}"],
+                # checked before any mesh is built: no allocation here
+                "eta-too-large": ["eta-check", "--levels", "2,100000000"],
+                "L-overflow": ["simulate", "--config", str(cfg), "--L", "1e308"],
+                "tau-overflow": ["convergence", "--levels", "4,8", "--T", "800",
+                                 "--c", "40", "--output-dir", str(tmp_path / "conv")]}[case]
         capsys.readouterr()
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("ConfigError:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--T", "800"], r"step 1406 \(t = 703\): the solution leaves double range"),
+        (["--T", "400"], r"step 703 \(t = 351.5\): the energy is not finite")],
+        ids=["state", "energy"])
+    def test_overflowing_run_names_the_step_and_writes_nothing(
+            self, tmp_path, capsys, flags, message):
+        cfg = tiny_config(tmp_path)
+        argv = ["simulate", "--config", str(cfg), "--sources", "reference",
+                "--dt", "0.5", "--M", "4"]
+        assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"ConfigError: {message}\n", captured.err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--kappa", "1e300", "--delta", "1e300", "--dt", "0.05"],
+        ["--L", "1e200", "--probes", "1"]], ids=["kappa-delta", "L"])
+    def test_huge_but_accurate_run_succeeds(self, tmp_path, capsys, flags):
+        cfg = tiny_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--T", "0.05"] + flags) == 0
+        assert capsys.readouterr().err == ""
+        energy = cli.read_energy_csv(tmp_path / "out" / "energy.csv")
+        assert np.isfinite(energy.E).all() and energy.E[-1] > 1e199
 
     def test_out_of_memory_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch):
         def run(*args, **kwargs):
@@ -366,6 +415,17 @@ class TestEnergyCommand:
 
 
 class TestEtaCheckCommand:
+    @pytest.mark.parametrize("levels", ["2,100000", "20000,40000,80000"])
+    def test_size_estimate_tracks_peak(self, capsys, levels):
+        tracemalloc.start()
+        try:
+            assert main(["eta-check", "--levels", levels]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        M = int(levels.split(",")[-1])
+        assert 0.5 < peak / (cli._ETA_NODE_BYTES * (M + 1)) < 2.0
+
     def test_reports_orders(self, capsys):
         assert main(["eta-check", "--levels", "20,40,80"]) == 0
         out = capsys.readouterr().out

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from shearbeam import mms
 from shearbeam.femesh import UniformMesh, integrate
 from shearbeam.mms import (ConvergenceRow, convergence_table, error_norm,
                            initial_data, observed_order_slope, reference_case,
                            run_level)
+from shearbeam.model import InvalidTimeStep
 from shearbeam.stepper import initial_state
 
 from oracles import fd_sources, random_state
@@ -118,6 +120,13 @@ class TestConvergenceTable:
     def test_single_level(self):
         rows = convergence_table(CASE, [(20, 0.002)], T=0.2)
         assert len(rows) == 1 and rows[0].ratio is None
+
+    def test_every_level_is_checked_before_any_runs(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mms, "run_level", lambda *args: calls.append(args))
+        with pytest.raises(InvalidTimeStep, match="dt must be > 0"):
+            convergence_table(CASE, [(8, 0.005), (16, 0.0025), (32, -1.0)], 0.05)
+        assert calls == []
 
     def test_run_level_matches_table(self):
         err = run_level(CASE, 20, 0.002, 0.2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from shearbeam import stepper
+from shearbeam import model, stepper
 from shearbeam.energy import EnergyRecorder, check_monotone, discrete_energy
 from shearbeam.femesh import (FeFunction, UniformMesh, load_vector, stencils,
                               toeplitz)
@@ -317,12 +317,44 @@ class TestRun:
         assert calls == []
 
     def test_nan_source_fails_naming_the_step(self):
+        # a non-finite time factor is an input error, not a failed solve
         case = reference_case()
         tau = lambda t: case.tau(t) + (np.nan if t > 0.25 else 0.0)
         config = SimulationConfig(M=10, dt=0.1, T=1.0)
-        with pytest.raises(SolverFailure, match=r"step 3 \(t = 0.3\)"):
+        with pytest.raises(ValidationError,
+                           match=r"step 3 \(t = 0.3\): the source loads are not finite"):
             run(case.params, config, initial_data(case),
                 sources=dataclasses.replace(case, tau=tau))
+
+    def test_growing_state_fails_naming_the_step(self):
+        # e^t in the exact solution outgrows double range before tau does
+        case = reference_case()
+        config = SimulationConfig(M=4, dt=0.5, T=800.0)
+        with pytest.raises(ValidationError,
+                           match=r"step 1406 \(t = 703\): the solution leaves double range"):
+            run(case.params, config, initial_data(case), sources=case)
+
+    @pytest.mark.parametrize("params, init", [
+        (dataclasses.replace(PARAMS, kappa=1e300, delta=1e300), sine_initial_data(1.0)),
+        (dataclasses.replace(PARAMS, L=1e200), sine_initial_data(1e200))],
+        ids=["kappa-delta-1e300", "L-1e200"])
+    def test_huge_residual_entries_pass_the_check(self, params, init):
+        # |r|_2^2 overflows here; the inf-norm backward error is 1e-16
+        config = SimulationConfig(M=100, dt=0.05, T=0.1)
+        rec = EnergyRecorder(params)
+        final = run(params, config, init, observers=(rec,))
+        assert final.n == 2 and np.isfinite(rec.energies).all()
+
+    def test_observers_are_not_sized_by_run(self, monkeypatch):
+        # the cap lies between the run's own arrays and those plus
+        # simulate's recorder rows: the run only sizes what it allocates
+        config = SimulationConfig(M=4, dt=0.01, T=1.0, probe_points=(0.5,))
+        own, recorded = (model.run_bytes(config, recorded=r) for r in (False, True))
+        assert own < recorded
+        monkeypatch.setattr(model, "MAX_RUN_BYTES", (own + recorded) // 2)
+        rec = EnergyRecorder(PARAMS)
+        assert run(PARAMS, config, sine_initial_data(1.0), observers=(rec,)).n == 100
+        assert len(rec.energies) == 101
 
     def test_separable_sources_match_per_step_loads(self):
         case = reference_case()
