@@ -3,10 +3,10 @@ suspended from an elastic cable, with energy-decay diagnostics and a
 manufactured-solution verification harness."""
 
 from .model import (ConfigError, DegenerateWindow, InitialData, InvalidMesh,
-                    InvalidProbe, InvalidTimeStep, NonFiniteStep,
-                    NonPositiveParameter, PhysicalParams, SimulationConfig,
-                    SingularSystem, SolverFailure, ValidationError,
-                    baseline_params, parse_config, sine_initial_data, validate)
+                    InvalidProbe, InvalidTimeStep, NonPositiveParameter,
+                    PhysicalParams, SimulationConfig, SingularSystem,
+                    SolverFailure, ValidationError, baseline_params,
+                    parse_config, sine_initial_data, validate)
 from .femesh import UniformMesh, interpolate_fields, l2_error, load_vector
 from .transform import EtaProblem, solve_eta
 from .stepper import (BlockSystem, ProbeRecorder, SnapshotRecorder, State,

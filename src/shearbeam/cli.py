@@ -10,8 +10,7 @@ Subcommands:
 
 All CSV files are written atomically (temp file + rename) with a fixed
 17-significant-digit float format, so repeated runs with identical inputs
-produce byte-identical outputs.  Each row is formatted in one `%.17g`
-step, one field per header column; a `None` cell is written empty.
+produce byte-identical outputs.
 Exit codes: 0 success, 2 configuration error (a run too large for memory
 included), 3 I/O error, 4 solver failure.
 """
@@ -117,18 +116,18 @@ def read_energy_csv(path: Path) -> energy_mod.EnergySeries:
     return energy_mod.EnergySeries(np.asarray(t), np.asarray(E))
 
 
-# --------------------------------------------------------------------------
-# Argument parsing
-# --------------------------------------------------------------------------
+# --- Argument parsing ---
 
 def _levels(raw: str) -> list[int]:
-    """The element counts of a --levels value: at least one, strictly
-    increasing."""
+    """The element counts of a --levels value: at least one, each >= 2,
+    strictly increasing."""
     ms = model.comma_list("levels", raw, int)
     if not ms:
         raise model.ConfigError("--levels: no levels given")
     if any(a >= b for a, b in zip(ms, ms[1:])):
         raise model.ConfigError(f"--levels: must be strictly increasing (got {raw})")
+    if ms[0] < 2:
+        raise model.ConfigError(f"--levels: element counts must be >= 2 (got {raw})")
     return ms
 
 
@@ -185,9 +184,7 @@ def _resolve_output_dir(args, fallback: str | None) -> str | None:
     return os.environ.get(OUTPUT_DIR_ENV, fallback)
 
 
-# --------------------------------------------------------------------------
-# Subcommands
-# --------------------------------------------------------------------------
+# --- Subcommands ---
 
 def _cmd_simulate(args) -> int:
     overrides = {key: getattr(args, key) for key in model.CONFIG_KEYS}
@@ -209,12 +206,8 @@ def _cmd_simulate(args) -> int:
 
     final = stepper.run(params, config, init, sources=sources,
                         observers=(energy_rec, probe_rec, snap_rec))
-    bad = np.flatnonzero(~np.isfinite(energy_rec.energies))
-    if bad.size:
-        k = bad[0]
-        raise model.ValidationError(
-            f"step {energy_rec.steps[k]} (t = {energy_rec.times[k]:.9g}): "
-            f"the energy is not finite")
+    # Checked before any CSV is written.
+    error = None if case is None else mms.error_norm(final, case)
 
     out = Path(config.output_dir)
     write_energy_csv(out / "energy.csv", energy_rec)
@@ -229,7 +222,7 @@ def _cmd_simulate(args) -> int:
     print(f"completed {n_final} steps to t = {_fmt(final.t)}")
     print(f"final energy E = {_fmt(energy_rec.energies[-1])}")
     if case is not None:
-        print(f"final composite error = {_fmt(mms.error_norm(final, case))}")
+        print(f"final composite error = {_fmt(error)}")
     print(f"wrote {', '.join(written)} in {out}")
     return 0
 

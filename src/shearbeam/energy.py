@@ -13,11 +13,12 @@ rate from an affine fit of log E against t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DegenerateWindow, PhysicalParams
+from .model import DegenerateWindow, PhysicalParams, ValidationError
 from .stepper import State, discrete_energy
 
 
@@ -45,7 +46,8 @@ class DecaySummary:
 
 
 class EnergyRecorder:
-    """Run observer recording (n, t, E) at every step."""
+    """Run observer recording (n, t, E) at every step; a non-finite E
+    raises ValidationError."""
 
     def __init__(self, params: PhysicalParams):
         self.params = params
@@ -54,9 +56,13 @@ class EnergyRecorder:
         self.energies: list[float] = []
 
     def __call__(self, state: State) -> None:
+        energy = discrete_energy(state, self.params)
+        if not math.isfinite(energy):
+            raise ValidationError(
+                f"step {state.n} (t = {state.t:.9g}): the energy is not finite")
         self.steps.append(state.n)
         self.times.append(state.t)
-        self.energies.append(discrete_energy(state, self.params))
+        self.energies.append(energy)
 
     def series(self) -> EnergySeries:
         return EnergySeries(np.asarray(self.times), np.asarray(self.energies))

@@ -53,6 +53,8 @@ class UniformMesh:
         self.M = int(M)
         self.L = float(L)
         self.h = self.L / self.M
+        if not self.h > 0.0:
+            raise InvalidMesh(f"element width L/M = {self.L!r}/{self.M} is not positive")
         try:
             self.nodes = np.linspace(0.0, self.L, self.M + 1)
         except ValueError as exc:  # numpy's "array is too big"

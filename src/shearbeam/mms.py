@@ -17,6 +17,7 @@ h + dt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import stepper
 from .femesh import at_quad, integrate
 from .model import (InitialData, PhysicalParams, SimulationConfig,
-                    baseline_params, validate)
+                    ValidationError, baseline_params, validate)
 
 SpaceTimeField = Callable[[np.ndarray, float], np.ndarray]
 
@@ -144,7 +145,8 @@ def initial_data(case: ManufacturedCase) -> InitialData:
 
 
 def error_norm(state: stepper.State, case: ManufacturedCase) -> float:
-    """Composite error of a state against the exact solution at its time."""
+    """Composite error of a state against the exact solution at its time;
+    ValidationError when it is not finite."""
     s, mesh, t = state._s, state.mesh, state.t
     xq = mesh.quad_x
     # Gauss values (M, 3, 8) and element slopes (M, 1, 8) of every column.
@@ -162,7 +164,10 @@ def error_norm(state: stepper.State, case: ManufacturedCase) -> float:
         yield q[..., stepper._VTH] - case.w_t(xq, t)
         yield dx[..., stepper._W] - case.w_x(xq, t)
 
-    total = sum(integrate(mesh, np.broadcast_to(d, xq.shape) ** 2) for d in diffs())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        total = sum(integrate(mesh, np.broadcast_to(d, xq.shape) ** 2) for d in diffs())
+    if not math.isfinite(total):
+        raise ValidationError(f"M={mesh.M}, t = {t:.9g}: the composite error is not finite")
     return float(np.sqrt(total))
 
 

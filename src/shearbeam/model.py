@@ -22,9 +22,7 @@ import numpy as np
 ScalarField = Callable[[np.ndarray], np.ndarray]
 
 
-# --------------------------------------------------------------------------
-# Errors
-# --------------------------------------------------------------------------
+# --- Errors ---
 
 class ValidationError(ValueError):
     """A parameter set or configuration violates a well-posedness precondition."""
@@ -61,10 +59,6 @@ class SolverFailure(RuntimeError):
     """A linear solve failed or its residual exceeded tolerance."""
 
 
-class NonFiniteStep(SolverFailure):
-    """A step's residual is not finite: its numbers left double range."""
-
-
 class SingularSystem(SolverFailure):
     """A linear system factorization hit a zero pivot (invalid inputs)."""
 
@@ -73,9 +67,7 @@ class DegenerateWindow(ValidationError):
     """Too few usable samples in a fitting window."""
 
 
-# --------------------------------------------------------------------------
-# Domain types
-# --------------------------------------------------------------------------
+# --- Domain types ---
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -136,9 +128,7 @@ CONFIG_KEYS = tuple(PARAM_KEYS) + ("M", "dt", "T", "probes",
                                    "snapshot_stride", "output_dir")
 
 
-# --------------------------------------------------------------------------
-# Validation
-# --------------------------------------------------------------------------
+# --- Validation ---
 
 # The most memory, in bytes, that `validate` lets a run plan to hold (see
 # `run_bytes`).  A larger run is rejected before anything is allocated; a
@@ -180,7 +170,8 @@ def validate(params: PhysicalParams, config: SimulationConfig,
     """Check every invariant of a run's inputs.
 
     Raises NonPositiveParameter / InvalidMesh / InvalidTimeStep /
-    InvalidProbe naming the offending field, and ConfigError when
+    InvalidProbe naming the offending field (InvalidTimeStep also for more
+    steps than MAX_RUN_BYTES holds energy rows), and ConfigError when
     `run_bytes(config, recorded)` exceeds MAX_RUN_BYTES.
     """
     for key, attr in PARAM_KEYS.items():
@@ -213,19 +204,21 @@ def validate(params: PhysicalParams, config: SimulationConfig,
             raise InvalidProbe(f"probe point {x} given twice")
 
     check_run_bytes(run_bytes(config, recorded), f"M={config.M} and {n} steps")
+    if n > MAX_RUN_BYTES // _ENERGY_ROW_BYTES:
+        raise InvalidTimeStep(f"dt = {config.dt!r} takes {n:.3g} steps to T = {config.T!r}, "
+                              f"above the {MAX_RUN_BYTES // _ENERGY_ROW_BYTES} a run may take")
 
 
 def check_run_bytes(nbytes: int, what: str) -> None:
     """Raise ConfigError when `what` would hold more than MAX_RUN_BYTES."""
     if nbytes > MAX_RUN_BYTES:
+        gib = nbytes / 2**30 if nbytes.bit_length() < 1000 else math.inf
         raise ConfigError(
-            f"run too large: {what} would hold about {nbytes / 2**30:.3g} GiB, "
+            f"run too large: {what} would hold about {gib:.3g} GiB, "
             f"above the {MAX_RUN_BYTES / 2**30:g} GiB cap")
 
 
-# --------------------------------------------------------------------------
-# Stock data
-# --------------------------------------------------------------------------
+# --- Stock data ---
 
 def baseline_params() -> PhysicalParams:
     """Stiffly coupled benchmark constants: alpha=6, rho1=2, K=365, rest 1."""
@@ -240,16 +233,17 @@ def sine_initial_data(L: float = 1.0) -> InitialData:
     return InitialData(u0=s, u1=s, phi0=s, phi1=s, psi0=s, w0=s, w1=s)
 
 
-# --------------------------------------------------------------------------
-# Config file parsing
-# --------------------------------------------------------------------------
+# --- Config file parsing ---
 
 def _parse(key: str, raw: str, convert=float):
-    """One value of `key`: a number, or an integer when `convert` is int."""
+    """One value of `key`: a number, or a 64-bit integer when `convert` is int."""
     try:
-        return convert(raw)
+        value = convert(raw)
+        if convert is int and not -2**63 <= value < 2**63:
+            raise ValueError
+        return value
     except ValueError:
-        kind = "an integer" if convert is int else "a number"
+        kind = "a 64-bit integer" if convert is int else "a number"
         raise ConfigError(f"key '{key}': cannot parse '{raw}' as {kind}") from None
 
 

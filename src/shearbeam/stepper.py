@@ -61,9 +61,9 @@ import numpy as np
 
 from ._lapack import lapack
 from .femesh import UniformMesh, interpolate_fields, load_vector, stencils
-from .model import (InitialData, NonFiniteStep, PhysicalParams,
-                    SimulationConfig, SingularSystem, SolverFailure,
-                    ValidationError, num_steps, validate)
+from .model import (InitialData, PhysicalParams, SimulationConfig,
+                    SingularSystem, SolverFailure, ValidationError, num_steps,
+                    validate)
 
 # Band widths of the interleaved ordering: the farthest coupling is
 # vartheta_i <-> Phi_{i +/- 1}, six positions away.
@@ -229,11 +229,11 @@ class BlockSystem:
                 (_VTH, _VTH): (p.rho3 / dt) * mass,
                 (_VTH, _W): -p.delta * stiff,
             }, width=8)
-        if not (np.isfinite(self._A).all() and np.isfinite(self._R).all()):
+            # |A|_inf for M >= 4: each stencil column is a full row of A.
+            self._A_norm = np.abs(self._A).sum(axis=0).max()
+        if not (math.isfinite(self._A_norm) and np.isfinite(self._R).all()):
             raise ValidationError(
                 f"step operators are not finite ({params!r}, dt={dt!r})")
-        # |A|_inf for M >= 4: each stencil column is a full row of A.
-        self._A_norm = np.abs(self._A).sum(axis=0).max()
         # Maps the new unknowns x to (x, dt*x) in the state's columns.
         self._update = np.hstack([np.eye(4), self.dt * np.eye(4)])
 
@@ -264,9 +264,9 @@ def assemble(params: PhysicalParams, mesh: UniformMesh, dt: float) -> BlockSyste
 
 def advance(system: BlockSystem, state: State, loads=None) -> State:
     """One implicit step.  `loads`, when given, are the assembled sources at
-    the new time level as a node-major (M-1, 4) array.  Raises
-    SolverFailure when the solve fails the RESIDUAL_TOL test, as
-    NonFiniteStep when its residual is not finite."""
+    the new time level as a node-major (M-1, 4) array.  A failed step raises
+    SolverFailure, or ValidationError when its numbers left double range,
+    naming the step and its time."""
     s = state._s
     rhs = _windows(s) @ system._R
     if loads is not None:
@@ -279,22 +279,26 @@ def advance(system: BlockSystem, state: State, loads=None) -> State:
     r = system.matvec(x_new) - rhs
     residual = math.sqrt(np.vdot(r, r))
     bound = RESIDUAL_TOL * system._A_norm * math.sqrt(np.vdot(x_new, x_new))
+    n = state.n + 1
     if not residual <= bound:
         # vdot overflows once entries pass about 1e154: decide again in
         # the inf-norm, which cannot overflow and which a NaN still fails.
         residual = np.abs(r).max()
         bound = RESIDUAL_TOL * system._A_norm * np.abs(x_new).max()
-        finite = np.isfinite(residual)
-        if not (finite and residual <= bound):
-            raise (SolverFailure if finite else NonFiniteStep)(
-                f"linear solve residual {residual:.3e} exceeds "
-                f"{RESIDUAL_TOL:.1e} * |A| * |x| = {bound:.3e}")
+        if not (math.isfinite(residual) and residual <= bound):
+            at = f"step {n} (t = {n * system.dt:.9g})"
+            if math.isfinite(residual):
+                raise SolverFailure(
+                    f"{at}: linear solve residual {residual:.3e} exceeds "
+                    f"{RESIDUAL_TOL:.1e} * |A| * |x| = {bound:.3e}")
+            if loads is not None and not np.isfinite(loads).all():
+                raise ValidationError(f"{at}: the source loads are not finite")
+            raise ValidationError(f"{at}: the solution leaves double range")
 
     # (x_new, d + dt*x_new) with d = s[:, 4:], bit for bit: each entry of
     # either product has one nonzero term.  Half the cost of column slices.
     s_new = x_new @ system._update + s @ _DISPLACEMENTS
     s_new[:, _SPRING] = s_new[:, _DPHI] - s_new[:, _U]
-    n = state.n + 1
     return State(system.mesh, s_new, n * system.dt, n)
 
 
@@ -309,10 +313,8 @@ def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
     per step, at its new time level.  Observers are callables invoked
     with the initial state and with the state after every step; recorders
     decide their own strides, and their memory is the caller's to size:
-    `validate` counts only the run's own arrays.  A step whose numbers
-    leave double range raises ValidationError naming the step, and the
-    sources when its loads are not finite; any other failed step raises
-    SolverFailure.  The run is deterministic: identical inputs give
+    `validate` counts only the run's own arrays.  A failed step raises
+    `advance`'s error.  The run is deterministic: identical inputs give
     bit-identical states.
     """
     validate(params, config, recorded=False)
@@ -322,8 +324,9 @@ def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
     # Row 4j + i of the (4(M-1), K) loads of the g_ik is field i at node j,
     # so one product with tau(t) gives a step's node-major loads (the same
     # product on the (M-1, 4, K) array is 5x slower).
-    spatial = None if sources is None else load_vector(
-        mesh, sources.g(mesh.quad_x)).reshape(4 * mesh.n_interior, -1)
+    with np.errstate(all="ignore"):  # the finite check is the one report
+        spatial = None if sources is None else load_vector(
+            mesh, sources.g(mesh.quad_x)).reshape(4 * mesh.n_interior, -1)
     if spatial is not None and not np.isfinite(spatial).all():
         raise ValidationError("source loads g are not finite")
     system = assemble(params, mesh, config.dt)
@@ -337,17 +340,7 @@ def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
         for k in range(1, num_steps(config) + 1):
             if spatial is not None:
                 loads = (spatial @ sources.tau(k * config.dt)).reshape(-1, 4)
-            try:
-                state = advance(system, state, loads)
-            except SolverFailure as exc:
-                at = f"step {k} (t = {k * config.dt:.9g})"
-                if not isinstance(exc, NonFiniteStep):
-                    raise SolverFailure(f"{at}: {exc}") from None
-                # The inputs were checked finite before step 1, so the
-                # step's numbers left double range, through tau or the state.
-                if loads is not None and not np.isfinite(loads).all():
-                    raise ValidationError(f"{at}: the source loads are not finite") from None
-                raise ValidationError(f"{at}: the solution leaves double range") from None
+            state = advance(system, state, loads)
             for obs in observers:
                 obs(state)
     return state

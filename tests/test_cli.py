@@ -4,6 +4,7 @@ import re
 import stat
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -300,7 +301,8 @@ class TestErrorPaths:
         assert captured.err.startswith("ConfigError:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("flags, message", [
-        (["--T", "800"], r"step 1406 \(t = 703\): the solution leaves double range"),
+        # the energy overflows before the state does (step 1406, t = 703)
+        (["--T", "800"], r"step 703 \(t = 351.5\): the energy is not finite"),
         (["--T", "400"], r"step 703 \(t = 351.5\): the energy is not finite")],
         ids=["state", "energy"])
     def test_overflowing_run_names_the_step_and_writes_nothing(
@@ -309,6 +311,58 @@ class TestErrorPaths:
         argv = ["simulate", "--config", str(cfg), "--sources", "reference",
                 "--dt", "0.5", "--M", "4"]
         assert main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(f"ConfigError: {message}\n", captured.err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["convergence", "--levels", "4,8", "--T", "700", "--c", "40"],
+         r"M=4, t = 700: the composite error is not finite"),
+        (["convergence", "--levels", "4,8", "--T", "705", "--c", "40"],
+         r"M=4, t = 700: the composite error is not finite"),
+        (["convergence", "--levels", "4,8", "--T", "0.1", "--c", "1e-300"],
+         r"dt = 2.5e-301 takes 4e\+299 steps to T = 0.1, above the 82595524 a run may take"),
+        (["convergence", "--levels", "4,8", "--T", "0.1", "--c", "1e-12"],
+         r"dt = 2.5e-13 takes 4e\+11 steps to T = 0.1, above the 82595524 a run may take"),
+        (["convergence", "--levels", "0", "--T", "0.1"],
+         r"--levels: element counts must be >= 2 \(got 0\)"),
+        (["convergence", "--levels", "0,4", "--T", "0.1"],
+         r"--levels: element counts must be >= 2 \(got 0,4\)"),
+        (["simulate", "--sources", "reference", "--T", "0.05", "--M", "8", "--K", "1e308"],
+         r"source loads g are not finite"),
+        (["simulate", "--sources", "reference", "--T", "0.05", "--M", "8", "--b", "1e308"],
+         r"source loads g are not finite"),
+        (["simulate", "--sources", "reference", "--T", "0.05", "--M", "8", "--beta", "1e308"],
+         r"source loads g are not finite"),
+        # |A|_inf overflows though every entry of A is finite
+        (["simulate", "--beta", "1.7976931348623157e308",
+          "--gamma", "1.7976931348623157e308"], r"step operators are not finite \(.*\)"),
+        (["simulate", "--sources", "reference", "--probes=", "--L", "5e-324"],
+         r"element width L/M = 5e-324/10 is not positive"),
+        # integers beyond double range: no float conversion of them overflows
+        (["simulate", "--M", str(10 ** 400)],
+         r"key 'M': cannot parse '10{400}' as a 64-bit integer"),
+        (["convergence", "--levels", f"4,{10 ** 400}"],
+         r"key 'levels': cannot parse '10{400}' as a 64-bit integer"),
+        (["eta-check", "--levels", f"2,{10 ** 400}"],
+         r"key 'levels': cannot parse '10{400}' as a 64-bit integer"),
+        (["simulate", "--M", str(2 ** 63 - 1), "--dt", "2.2250738585072014e-308"],
+         r"run too large: M=9223372036854775807 and \d+ steps would hold about inf GiB, "
+         r"above the 8 GiB cap")],
+        ids=["composite-error", "composite-error-first-level", "steps-4e299",
+             "steps-4e11", "levels-0", "levels-0-4", "sources-K", "sources-b",
+             "sources-beta", "operator-norm", "L-subnormal", "M-1e400", "levels-1e400",
+             "eta-levels-1e400", "bytes-beyond-double"])
+    def test_reproducer_is_one_line_and_writes_nothing(self, tmp_path, capsys,
+                                                       argv, message):
+        if argv[0] == "simulate":
+            argv = argv[:1] + ["--config", str(tiny_config(tmp_path))] + argv[1:]
+        elif argv[0] == "convergence":
+            argv = argv + ["--output-dir", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(f"ConfigError: {message}\n", captured.err)

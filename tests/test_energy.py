@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from shearbeam.energy import (EnergySeries, check_monotone, discrete_energy,
-                              fit_decay, neg_log_over_t)
+from shearbeam.energy import (EnergyRecorder, EnergySeries, check_monotone,
+                              discrete_energy, fit_decay, neg_log_over_t)
 from shearbeam.femesh import UniformMesh, load_vector, stencils, toeplitz
 from shearbeam.mms import initial_data, reference_case
 from shearbeam.model import (DegenerateWindow, PhysicalParams, SimulationConfig,
-                             baseline_params, sine_initial_data)
+                             ValidationError, baseline_params, sine_initial_data)
 from shearbeam.stepper import State, initial_state, run
 
 from oracles import FIELDS, random_state
@@ -53,6 +53,21 @@ class TestDiscreteEnergy:
         e2 = discrete_energy(state(c), PARAMS)
         assert e2 == pytest.approx(c * c * e1, rel=1e-10)
         assert e1 > 0.0  # positive definite on a nonzero state
+
+
+class TestEnergyRecorder:
+    def test_stops_at_the_first_non_finite_energy(self):
+        # the exact solution grows like e^t; the energy leaves double range
+        # at step 703, long before the state does (step 1406)
+        case = reference_case()
+        config = SimulationConfig(M=4, dt=0.5, T=800.0)
+        rec = EnergyRecorder(case.params)
+        with pytest.raises(ValidationError,
+                           match=r"^step 703 \(t = 351.5\): the energy is not finite$"):
+            run(case.params, config, initial_data(case), sources=case,
+                observers=(rec,))
+        assert rec.steps == list(range(703))
+        assert rec.times[-1] == 351.0 and np.isfinite(rec.energies).all()
 
 
 def fields(state):

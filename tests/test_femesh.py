@@ -156,6 +156,11 @@ class TestInterpolation:
         with pytest.raises(InvalidMesh, match="too large"):
             UniformMesh(2 * 10 ** 18, 1.0)
 
+    def test_element_width_that_underflows_rejected(self):
+        # h = L/M = 0: every stencil would divide by zero
+        with pytest.raises(InvalidMesh, match="5e-324/4 is not positive"):
+            UniformMesh(4, 5e-324)
+
 
 class TestAtQuad:
     def test_matches_pointwise_evaluation(self):

@@ -7,7 +7,7 @@ from shearbeam.femesh import UniformMesh, integrate
 from shearbeam.mms import (ConvergenceRow, convergence_table, error_norm,
                            initial_data, observed_order_slope, reference_case,
                            run_level)
-from shearbeam.model import InvalidTimeStep
+from shearbeam.model import InvalidTimeStep, ValidationError
 from shearbeam.stepper import initial_state
 
 from oracles import fd_sources, random_state
@@ -101,6 +101,13 @@ class TestErrorNorm:
         )
         expected = np.sqrt(sum(integrate(mesh, d ** 2) for d in diffs))
         assert error_norm(state, CASE) == expected
+
+
+    def test_non_finite_error_is_rejected(self):
+        # e^700 squared overflows: the level's error is not a result
+        with pytest.raises(ValidationError,
+                           match=r"^M=4, t = 700: the composite error is not finite$"):
+            run_level(CASE, 4, 10.0, 700.0)
 
 
 class TestConvergenceTable:

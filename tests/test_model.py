@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import shearbeam
 from shearbeam import model, stepper
 from shearbeam.energy import EnergyRecorder
 from shearbeam.femesh import UniformMesh
@@ -71,6 +72,28 @@ class TestValidate:
         # T/dt overflows to inf: rejected before round(T/dt) is taken.
         with pytest.raises(InvalidTimeStep, match="T/dt is not finite"):
             validate(baseline_params(), good_config(T=1e308, dt=1e-10))
+
+    def test_step_count_is_bounded_without_recorders(self):
+        # as many steps as MAX_RUN_BYTES holds energy rows; a recorded run's
+        # rows alone stop it sooner, with the "run too large" message
+        cap = model.MAX_RUN_BYTES // model._ENERGY_ROW_BYTES
+        params = baseline_params()
+        validate(params, good_config(M=4, dt=1.0, T=float(cap)), recorded=False)
+        for dt, T in ((1.0, float(cap + 1)), (2.5e-301, 0.1)):
+            with pytest.raises(InvalidTimeStep, match=f"above the {cap} a run may take"):
+                validate(params, good_config(M=4, dt=dt, T=T), recorded=False)
+            with pytest.raises(ConfigError, match="run too large"):
+                validate(params, good_config(M=4, dt=dt, T=T))
+
+    def test_a_failed_step_has_no_error_class_of_its_own(self):
+        # advance raises a ValidationError or a SolverFailure
+        for module in (model, shearbeam):
+            errors = {name for name, obj in vars(module).items()
+                      if isinstance(obj, type) and issubclass(obj, Exception)}
+            assert errors == {"ValidationError", "NonPositiveParameter",
+                              "InvalidMesh", "InvalidTimeStep", "InvalidProbe",
+                              "ConfigError", "SolverFailure", "SingularSystem",
+                              "DegenerateWindow"}
 
     def test_probe_outside_domain(self):
         for x in (0.0, 1.0, 1.5, -0.2):

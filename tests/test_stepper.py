@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -187,7 +188,8 @@ class TestAdvance:
         fields = {name: np.zeros(mesh.n_interior) for name in FIELDS}
         fields["w"][2] = np.nan
         state = make_state(mesh, fields)
-        with pytest.raises(SolverFailure, match="residual"):
+        with pytest.raises(ValidationError,
+                           match=r"^step 1 \(t = 0.01\): the solution leaves double range$"):
             advance(system, state)
 
     @pytest.mark.parametrize("M", [2, 3, 4, 7])
@@ -207,6 +209,15 @@ class TestAdvance:
         state = random_state(mesh, np.random.default_rng(1))
         monkeypatch.setattr(stepper, "RESIDUAL_TOL", -1.0)
         with pytest.raises(SolverFailure, match="residual"):
+            advance(system, state)
+
+    def test_failed_step_is_named_by_advance(self, monkeypatch):
+        mesh = UniformMesh(6, 1.0)
+        system = assemble(PARAMS, mesh, 0.01)
+        state = random_state(mesh, np.random.default_rng(1))
+        monkeypatch.setattr(stepper, "RESIDUAL_TOL", -1.0)
+        with pytest.raises(SolverFailure,
+                           match=r"^step 1 \(t = 0.01\): linear solve residual"):
             advance(system, state)
 
 
@@ -333,6 +344,24 @@ class TestRun:
         with pytest.raises(ValidationError,
                            match=r"step 1406 \(t = 703\): the solution leaves double range"):
             run(case.params, config, initial_data(case), sources=case)
+
+    @pytest.mark.parametrize("key", ["K", "b", "beta"])
+    def test_overflowing_source_loads_are_one_error(self, key):
+        # g overflows at these parameters: its finite check is the one
+        # report, with no numpy warning before it
+        case = reference_case(dataclasses.replace(PARAMS, **{key: 1e308}))
+        config = SimulationConfig(M=8, dt=0.005, T=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="source loads g are not finite"):
+                run(case.params, config, initial_data(case), sources=case)
+
+    def test_step_count_that_cannot_finish_is_rejected(self):
+        calls = []
+        config = SimulationConfig(M=4, dt=2.5e-301, T=0.1)
+        with pytest.raises(InvalidTimeStep, match="4e\\+299 steps"):
+            run(PARAMS, config, sine_initial_data(1.0), observers=(calls.append,))
+        assert calls == []
 
     @pytest.mark.parametrize("params, init", [
         (dataclasses.replace(PARAMS, kappa=1e300, delta=1e300), sine_initial_data(1.0)),
