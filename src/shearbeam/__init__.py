@@ -2,10 +2,8 @@
 suspended from an elastic cable, with energy-decay diagnostics and a
 manufactured-solution verification harness."""
 
-from .model import (ConfigError, DegenerateWindow, InitialData, InvalidMesh,
-                    InvalidProbe, InvalidTimeStep, NonPositiveParameter,
-                    PhysicalParams, SimulationConfig, SingularSystem,
-                    SolverFailure, ValidationError, baseline_params,
+from .model import (ConfigError, InitialData, PhysicalParams,
+                    SimulationConfig, SolverFailure, baseline_params,
                     parse_config, sine_initial_data, validate)
 from .femesh import UniformMesh, interpolate_fields, l2_error, load_vector
 from .transform import EtaProblem, solve_eta

@@ -267,12 +267,12 @@ def _cmd_energy(args) -> int:
              f"sigma1_hat = {_fmt(summary.sigma1_hat)}",
              f"sigma0_hat = {_fmt(summary.sigma0_hat)}",
              f"fit_residual = {_fmt(summary.fit_residual)}"]
-    print("\n".join(lines))
-    if args.out:
+    if args.out:  # written first: a failed write prints no report
         write_csv(Path(args.out), "window_lo,window_hi,sigma1_hat,sigma0_hat,fit_residual",
                   [(lo, hi, summary.sigma1_hat, summary.sigma0_hat,
                     summary.fit_residual)])
-        print(f"wrote {args.out}")
+        lines.append(f"wrote {args.out}")
+    print("\n".join(lines))
     return 0
 
 
@@ -314,7 +314,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return handlers[args.command](args)
-    except (model.ConfigError, model.ValidationError) as exc:
+    except model.ConfigError as exc:
         print(f"ConfigError: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

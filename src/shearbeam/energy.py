@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DegenerateWindow, PhysicalParams, ValidationError
+from .model import ConfigError, PhysicalParams
 from .stepper import State, discrete_energy
 
 
@@ -47,7 +47,7 @@ class DecaySummary:
 
 class EnergyRecorder:
     """Run observer recording (n, t, E) at every step; a non-finite E
-    raises ValidationError."""
+    raises ConfigError."""
 
     def __init__(self, params: PhysicalParams):
         self.params = params
@@ -58,7 +58,7 @@ class EnergyRecorder:
     def __call__(self, state: State) -> None:
         energy = discrete_energy(state, self.params)
         if not math.isfinite(energy):
-            raise ValidationError(
+            raise ConfigError(
                 f"step {state.n} (t = {state.t:.9g}): the energy is not finite")
         self.steps.append(state.n)
         self.times.append(state.t)
@@ -73,7 +73,7 @@ def check_monotone(series: EnergySeries, tol_rel: float) -> list[int]:
     decay property holds on the whole series."""
     E = np.asarray(series.E, dtype=float)
     if E.size == 0:
-        raise ValueError("empty energy series")
+        raise ConfigError("empty energy series")
     bad = np.nonzero(E[1:] > E[:-1] * (1.0 + tol_rel))[0] + 1
     return [int(i) for i in bad]
 
@@ -91,14 +91,14 @@ def fit_decay(series: EnergySeries, window: tuple[float, float]) -> DecaySummary
     """Least-squares affine fit of log E against t over a time window.
 
     Uses the samples with window[0] <= t <= window[1] and E > 0; raises
-    DegenerateWindow when fewer than 3 remain.
+    ConfigError when fewer than 3 remain.
     """
     t = np.asarray(series.t, dtype=float)
     E = np.asarray(series.E, dtype=float)
     lo, hi = window
     keep = (t >= lo) & (t <= hi) & (E > 0.0)
     if keep.sum() < 3:
-        raise DegenerateWindow(
+        raise ConfigError(
             f"window [{lo}, {hi}] holds {int(keep.sum())} positive samples; need >= 3")
     tw, logE = t[keep], np.log(E[keep])
     slope, intercept = np.polyfit(tw, logE, 1)

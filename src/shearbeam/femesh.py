@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import InvalidMesh, ValidationError
+from .model import ConfigError
 
 # 3-point Gauss-Legendre rule mapped to the reference element [0, 1].
 _GAUSS_S = 0.5 + 0.5 * np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
@@ -49,16 +49,16 @@ class UniformMesh:
 
     def __init__(self, M: int, L: float = 1.0):
         if int(M) != M or M < 2:
-            raise InvalidMesh(f"M must be an integer >= 2 (got {M!r})")
+            raise ConfigError(f"M must be an integer >= 2 (got {M!r})")
         self.M = int(M)
         self.L = float(L)
         self.h = self.L / self.M
         if not self.h > 0.0:
-            raise InvalidMesh(f"element width L/M = {self.L!r}/{self.M} is not positive")
+            raise ConfigError(f"element width L/M = {self.L!r}/{self.M} is not positive")
         try:
             self.nodes = np.linspace(0.0, self.L, self.M + 1)
         except ValueError as exc:  # numpy's "array is too big"
-            raise InvalidMesh(f"M={self.M} is too large: {exc}") from None
+            raise ConfigError(f"M={self.M} is too large: {exc}") from None
         # Gauss abscissae, element-major: quad_x[e, q] lies in element e.
         self.quad_x = self.nodes[:-1, None] + self.h * _GAUSS_S[None, :]
 
@@ -143,7 +143,7 @@ def toeplitz(n: int, stencil) -> TriDiag:
 def interpolate_fields(source, names, mesh: UniformMesh) -> np.ndarray:
     """Nodal interpolants of the callables `source.<name>`, each called
     once on `mesh.nodes`, as the columns of one (M+1, len(names)) array
-    with end rows set to 0.  Raises ValidationError naming the first field
+    with end rows set to 0.  Raises ConfigError naming the first field
     with a non-finite sample or with ends that do not vanish (ENDPOINT_RTOL);
     the functions are called without numpy warnings, so that is the one report.
 
@@ -157,10 +157,10 @@ def interpolate_fields(source, names, mesh: UniformMesh) -> np.ndarray:
         with np.errstate(all="ignore"):
             f[:] = getattr(source, name)(mesh.nodes)
         if not np.isfinite(f).all():
-            raise ValidationError(f"initial function {name} is not finite at every node")
+            raise ConfigError(f"initial function {name} is not finite at every node")
         ends = np.abs(f[[0, -1]])
         if ends.max() > ENDPOINT_RTOL * max(1.0, np.abs(f).max()):
-            raise ValidationError(
+            raise ConfigError(
                 f"initial function {name} does not vanish at the endpoints "
                 f"(|{name}(0)|={ends[0]:.2e}, |{name}(L)|={ends[1]:.2e})")
     out[[0, -1]] = 0.0

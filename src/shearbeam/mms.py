@@ -25,8 +25,8 @@ import numpy as np
 
 from . import stepper
 from .femesh import at_quad, integrate
-from .model import (InitialData, PhysicalParams, SimulationConfig,
-                    ValidationError, baseline_params, validate)
+from .model import (ConfigError, InitialData, PhysicalParams,
+                    SimulationConfig, baseline_params, validate)
 
 SpaceTimeField = Callable[[np.ndarray, float], np.ndarray]
 
@@ -146,7 +146,7 @@ def initial_data(case: ManufacturedCase) -> InitialData:
 
 def error_norm(state: stepper.State, case: ManufacturedCase) -> float:
     """Composite error of a state against the exact solution at its time;
-    ValidationError when it is not finite."""
+    ConfigError when it is not finite."""
     s, mesh, t = state._s, state.mesh, state.t
     xq = mesh.quad_x
     # Gauss values (M, 3, 8) and element slopes (M, 1, 8) of every column.
@@ -167,7 +167,7 @@ def error_norm(state: stepper.State, case: ManufacturedCase) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         total = sum(integrate(mesh, np.broadcast_to(d, xq.shape) ** 2) for d in diffs())
     if not math.isfinite(total):
-        raise ValidationError(f"M={mesh.M}, t = {t:.9g}: the composite error is not finite")
+        raise ConfigError(f"M={mesh.M}, t = {t:.9g}: the composite error is not finite")
     return float(np.sqrt(total))
 
 

@@ -24,47 +24,14 @@ ScalarField = Callable[[np.ndarray], np.ndarray]
 
 # --- Errors ---
 
-class ValidationError(ValueError):
-    """A parameter set or configuration violates a well-posedness precondition."""
-
-
-class NonPositiveParameter(ValidationError):
-    """A constitutive constant is zero, negative, or not a number."""
-
-    def __init__(self, name: str, value: float | int | None = None):
-        self.name = name
-        msg = f"parameter '{name}' must be strictly positive"
-        if value is not None:
-            msg += f" (got {value!r})"
-        super().__init__(msg)
-
-
-class InvalidMesh(ValidationError):
-    """The element count does not define a usable mesh."""
-
-
-class InvalidTimeStep(ValidationError):
-    """dt and T do not define a usable uniform time grid."""
-
-
-class InvalidProbe(ValidationError):
-    """A probe point lies outside the open interval (0, L) or is repeated."""
-
-
-class ConfigError(Exception):
-    """A configuration file is missing, unreadable, or malformed."""
+class ConfigError(ValueError):
+    """The run's inputs are unusable: a configuration that is missing,
+    unreadable or malformed, a value that violates a well-posedness
+    precondition, or data that leave double range (exit 2)."""
 
 
 class SolverFailure(RuntimeError):
-    """A linear solve failed or its residual exceeded tolerance."""
-
-
-class SingularSystem(SolverFailure):
-    """A linear system factorization hit a zero pivot (invalid inputs)."""
-
-
-class DegenerateWindow(ValidationError):
-    """Too few usable samples in a fitting window."""
+    """A linear solve failed or its residual exceeded tolerance (exit 4)."""
 
 
 # --- Domain types ---
@@ -169,44 +136,43 @@ def validate(params: PhysicalParams, config: SimulationConfig,
              recorded: bool = True) -> None:
     """Check every invariant of a run's inputs.
 
-    Raises NonPositiveParameter / InvalidMesh / InvalidTimeStep /
-    InvalidProbe naming the offending field (InvalidTimeStep also for more
-    steps than MAX_RUN_BYTES holds energy rows), and ConfigError when
-    `run_bytes(config, recorded)` exceeds MAX_RUN_BYTES.
+    Raises ConfigError naming the offending field, also for more steps
+    than MAX_RUN_BYTES holds energy rows and when `run_bytes(config,
+    recorded)` exceeds MAX_RUN_BYTES.
     """
     for key, attr in PARAM_KEYS.items():
         value = getattr(params, attr)
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-            raise NonPositiveParameter(key, value)
+            raise ConfigError(f"parameter '{key}' must be strictly positive (got {value!r})")
 
     if not isinstance(config.M, int) or config.M < 2:
-        raise InvalidMesh(f"M must be an integer >= 2 (got {config.M!r})")
+        raise ConfigError(f"M must be an integer >= 2 (got {config.M!r})")
 
     if not (math.isfinite(config.dt) and config.dt > 0):
-        raise InvalidTimeStep(f"dt must be > 0 (got {config.dt!r})")
+        raise ConfigError(f"dt must be > 0 (got {config.dt!r})")
     if not (math.isfinite(config.T) and config.T > 0):
-        raise InvalidTimeStep(f"T must be > 0 (got {config.T!r})")
+        raise ConfigError(f"T must be > 0 (got {config.T!r})")
     if not math.isfinite(config.T / config.dt):
-        raise InvalidTimeStep(
-            f"T/dt is not finite (T={config.T!r}, dt={config.dt!r})")
+        raise ConfigError(f"T/dt is not finite (T={config.T!r}, dt={config.dt!r})")
     n = num_steps(config)
     if n < 1 or abs(n * config.dt - config.T) > config.dt:
-        raise InvalidTimeStep(
+        raise ConfigError(
             f"T = {config.T} is not within one dt of a whole number of steps of {config.dt}")
 
     if config.snapshot_stride < 1:
-        raise NonPositiveParameter("snapshot_stride", config.snapshot_stride)
+        raise ConfigError("parameter 'snapshot_stride' must be strictly positive "
+                          f"(got {config.snapshot_stride!r})")
 
     for i, x in enumerate(config.probe_points):
         if not (0.0 < x < params.L):
-            raise InvalidProbe(f"probe point {x} outside (0, {params.L})")
+            raise ConfigError(f"probe point {x} outside (0, {params.L})")
         if x in config.probe_points[:i]:
-            raise InvalidProbe(f"probe point {x} given twice")
+            raise ConfigError(f"probe point {x} given twice")
 
     check_run_bytes(run_bytes(config, recorded), f"M={config.M} and {n} steps")
     if n > MAX_RUN_BYTES // _ENERGY_ROW_BYTES:
-        raise InvalidTimeStep(f"dt = {config.dt!r} takes {n:.3g} steps to T = {config.T!r}, "
-                              f"above the {MAX_RUN_BYTES // _ENERGY_ROW_BYTES} a run may take")
+        raise ConfigError(f"dt = {config.dt!r} takes {n:.3g} steps to T = {config.T!r}, "
+                          f"above the {MAX_RUN_BYTES // _ENERGY_ROW_BYTES} a run may take")
 
 
 def check_run_bytes(nbytes: int, what: str) -> None:

@@ -61,9 +61,8 @@ import numpy as np
 
 from ._lapack import lapack
 from .femesh import UniformMesh, interpolate_fields, load_vector, stencils
-from .model import (InitialData, PhysicalParams, SimulationConfig,
-                    SingularSystem, SolverFailure, ValidationError, num_steps,
-                    validate)
+from .model import (ConfigError, InitialData, PhysicalParams,
+                    SimulationConfig, SolverFailure, num_steps, validate)
 
 # Band widths of the interleaved ordering: the farthest coupling is
 # vartheta_i <-> Phi_{i +/- 1}, six positions away.
@@ -121,7 +120,7 @@ class State:
 
 def initial_state(init: InitialData, mesh: UniformMesh) -> State:
     """Nodal interpolation of the initial fields (t = 0, step 0).  Raises
-    ValidationError naming a function that is not finite or not zero at
+    ConfigError naming a function that is not finite or not zero at
     the ends."""
     u, phi, psi, w, xi, Phi, vartheta = interpolate_fields(
         init, ("u0", "phi0", "psi0", "w0", "u1", "phi1", "w1"), mesh).T
@@ -232,14 +231,14 @@ class BlockSystem:
             # |A|_inf for M >= 4: each stencil column is a full row of A.
             self._A_norm = np.abs(self._A).sum(axis=0).max()
         if not (math.isfinite(self._A_norm) and np.isfinite(self._R).all()):
-            raise ValidationError(
+            raise ConfigError(
                 f"step operators are not finite ({params!r}, dt={dt!r})")
         # Maps the new unknowns x to (x, dt*x) in the state's columns.
         self._update = np.hstack([np.eye(4), self.dt * np.eye(4)])
 
         lu, piv, info = lapack.dgbtrf(_band(self._A, n), _KL, _KU)
         if info > 0:
-            raise SingularSystem(f"zero pivot at position {info} during factorization")
+            raise SolverFailure(f"zero pivot at position {info} during factorization")
         if info < 0:
             raise SolverFailure(f"banded factorization rejected argument {-info}")
         self._lu, self._piv = lu, piv
@@ -265,7 +264,7 @@ def assemble(params: PhysicalParams, mesh: UniformMesh, dt: float) -> BlockSyste
 def advance(system: BlockSystem, state: State, loads=None) -> State:
     """One implicit step.  `loads`, when given, are the assembled sources at
     the new time level as a node-major (M-1, 4) array.  A failed step raises
-    SolverFailure, or ValidationError when its numbers left double range,
+    SolverFailure, or ConfigError when its numbers left double range,
     naming the step and its time."""
     s = state._s
     rhs = _windows(s) @ system._R
@@ -292,8 +291,8 @@ def advance(system: BlockSystem, state: State, loads=None) -> State:
                     f"{at}: linear solve residual {residual:.3e} exceeds "
                     f"{RESIDUAL_TOL:.1e} * |A| * |x| = {bound:.3e}")
             if loads is not None and not np.isfinite(loads).all():
-                raise ValidationError(f"{at}: the source loads are not finite")
-            raise ValidationError(f"{at}: the solution leaves double range")
+                raise ConfigError(f"{at}: the source loads are not finite")
+            raise ConfigError(f"{at}: the solution leaves double range")
 
     # (x_new, d + dt*x_new) with d = s[:, 4:], bit for bit: each entry of
     # either product has one nonzero term.  Half the cost of column slices.
@@ -328,7 +327,7 @@ def run(params: PhysicalParams, config: SimulationConfig, init: InitialData,
         spatial = None if sources is None else load_vector(
             mesh, sources.g(mesh.quad_x)).reshape(4 * mesh.n_interior, -1)
     if spatial is not None and not np.isfinite(spatial).all():
-        raise ValidationError("source loads g are not finite")
+        raise ConfigError("source loads g are not finite")
     system = assemble(params, mesh, config.dt)
 
     # Values that leave double range are reported by the step's check,

@@ -31,8 +31,7 @@ import numpy as np
 
 from ._lapack import lapack
 from .femesh import UniformMesh, interpolate_fields, stencils
-from .model import (PhysicalParams, ScalarField, SingularSystem,
-                    ValidationError)
+from .model import ConfigError, PhysicalParams, ScalarField, SolverFailure
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,7 @@ class EtaProblem:
 
 def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> np.ndarray:
     """P1 solution of the weak offset problem on the given mesh, as its
-    (M+1,) nodal values with zero end entries.  Raises ValidationError
+    (M+1,) nodal values with zero end entries.  Raises ConfigError
     naming theta0, theta1 or phi1 when it is not finite or not zero at the
     ends, and when the matrix or right-hand side is not finite."""
     p = problem.params
@@ -67,9 +66,9 @@ def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> np.ndarray:
         rhs = -p.rho3 * tri[:, 1] - p.kappa * tri[:, 0] - p.beta * tri[:, 2]
         matrix = p.delta * stiff
     if not np.isfinite(rhs).all():
-        raise ValidationError("offset right-hand side is not finite")
+        raise ConfigError("offset right-hand side is not finite")
     if not np.isfinite(matrix).all():
-        raise ValidationError(f"offset matrix is not finite (delta={p.delta!r})")
+        raise ConfigError(f"offset matrix is not finite (delta={p.delta!r})")
     n = mesh.n_interior
     # f2py rejects empty off-diagonals, which n = 1 would give; LAPACK
     # reads none of their entries then.
@@ -77,5 +76,5 @@ def solve_eta(problem: EtaProblem, mesh: UniformMesh) -> np.ndarray:
     *_, eta, info = lapack.dgtsv(np.full(off, matrix[0]), np.full(n, matrix[1]),
                                  np.full(off, matrix[2]), rhs)
     if info != 0:  # cannot occur for delta > 0
-        raise SingularSystem(f"offset solve failed (dgtsv info={info})")
+        raise SolverFailure(f"offset solve failed (dgtsv info={info})")
     return np.pad(eta, 1)

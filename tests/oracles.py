@@ -99,7 +99,8 @@ def dense_step_oracle(params, mesh, dt, prev, loads=None):
     block rows impose u = u_prev + dt*xi (and likewise for phi, w), so no
     elimination algebra is shared with the implementation.
 
-    `prev` is a dict with arrays u, phi, w, xi, Phi, vartheta.
+    `prev` is a dict with arrays u, phi, w, xi, Phi, vartheta, each of
+    shape (n,) or (n, k): k states are stepped by one dense solve.
     Returns the same dict shape at the new time level.
     """
     p = params
@@ -129,7 +130,7 @@ def dense_step_oracle(params, mesh, dt, prev, loads=None):
         row([Z, Z, Z, -dt * eye, Z, Z, eye]),
     ])
 
-    f1 = f2 = f3 = f4 = np.zeros(n)
+    f1 = f2 = f3 = f4 = np.zeros_like(prev["xi"], dtype=float)
     if loads is not None:
         f1, f2, f3, f4 = loads
     rhs = np.concatenate([
@@ -139,10 +140,25 @@ def dense_step_oracle(params, mesh, dt, prev, loads=None):
         (p.rho3 / dt) * Mq @ prev["vartheta"] + f4,
         prev["u"], prev["phi"], prev["w"],
     ])
-    sol = np.linalg.solve(A, rhs)
-    parts = sol.reshape(7, n)
+    parts = np.split(np.linalg.solve(A, rhs), 7)
     return {"xi": parts[0], "Phi": parts[1], "psi": parts[2],
             "vartheta": parts[3], "u": parts[4], "phi": parts[5], "w": parts[6]}
+
+
+def step_map_rate(params, mesh, dt):
+    """Asymptotic energy decay rate -2 ln(rho)/dt of the implicit step, with
+    rho the spectral radius of the step map on (u, phi, w, xi, Phi,
+    vartheta); psi is no state of its own, the step solves for it.  The
+    map is built by one `dense_step_oracle` solve of the 6n unit states.
+    Everything here is dense and `quadrature_matrices` takes O(M^3)
+    time: keep M at 50 or below."""
+    names = ("u", "phi", "w", "xi", "Phi", "vartheta")
+    n = mesh.n_interior
+    unit = np.split(np.eye(6 * n), 6)
+    new = dense_step_oracle(params, mesh, dt, dict(zip(names, unit)))
+    T = np.vstack([new[name] for name in names])
+    rho = np.abs(np.linalg.eigvals(T)).max()
+    return -2.0 * np.log(rho) / dt
 
 
 def fd_sources(case, x, t, step=1e-3):

@@ -467,6 +467,18 @@ class TestEnergyCommand:
         path.write_text("a,b\n1,2\n")
         assert main(["energy", "--input", str(path)]) == 2
 
+    def test_unwritable_report_prints_nothing(self, tmp_path, capsys):
+        # the report CSV is written before the fit is printed: a failed
+        # write is one stderr line and no stdout
+        t = np.linspace(0.0, 4.0, 101)
+        rows = "\n".join(f"{i},{ti},{np.exp(-ti)},0,0" for i, ti in enumerate(t))
+        path = tmp_path / "energy.csv"
+        path.write_text("n,t,E,logE,negLogEOverT\n" + rows + "\n")
+        assert main(["energy", "--input", str(path), "--out", str(tmp_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"IoError: \[Errno 21\] Is a directory: .*\n", captured.err)
+
 
 class TestEtaCheckCommand:
     @pytest.mark.parametrize("levels", ["2,100000", "20000,40000,80000"])

@@ -7,11 +7,11 @@ from shearbeam.energy import (EnergyRecorder, EnergySeries, check_monotone,
                               discrete_energy, fit_decay, neg_log_over_t)
 from shearbeam.femesh import UniformMesh, load_vector, stencils, toeplitz
 from shearbeam.mms import initial_data, reference_case
-from shearbeam.model import (DegenerateWindow, PhysicalParams, SimulationConfig,
-                             ValidationError, baseline_params, sine_initial_data)
+from shearbeam.model import (ConfigError, PhysicalParams, SimulationConfig,
+                             baseline_params, sine_initial_data)
 from shearbeam.stepper import State, initial_state, run
 
-from oracles import FIELDS, random_state
+from oracles import FIELDS, random_state, step_map_rate
 
 PARAMS = baseline_params()
 
@@ -62,7 +62,7 @@ class TestEnergyRecorder:
         case = reference_case()
         config = SimulationConfig(M=4, dt=0.5, T=800.0)
         rec = EnergyRecorder(case.params)
-        with pytest.raises(ValidationError,
+        with pytest.raises(ConfigError,
                            match=r"^step 703 \(t = 351.5\): the energy is not finite$"):
             run(case.params, config, initial_data(case), sources=case,
                 observers=(rec,))
@@ -172,7 +172,7 @@ class TestCheckMonotone:
         assert check_monotone(series, 0.0) == [1]
 
     def test_empty_series_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="empty energy series"):
             check_monotone(EnergySeries(np.array([]), np.array([])), 1e-9)
 
 
@@ -201,15 +201,37 @@ class TestFitDecay:
     def test_degenerate_window(self):
         t = np.linspace(0.0, 1.0, 11)
         series = EnergySeries(t, np.exp(-t))
-        with pytest.raises(DegenerateWindow):
+        with pytest.raises(ConfigError,
+                           match=r"window \[0\.899, 1\.0\] holds 2 positive samples; need >= 3"):
             fit_decay(series, (0.899, 1.0))  # two samples only
 
     def test_nonpositive_samples_excluded(self):
         t = np.linspace(0.0, 1.0, 11)
         E = np.exp(-t)
         E[:9] = 0.0  # only two positive samples survive
-        with pytest.raises(DegenerateWindow):
+        with pytest.raises(ConfigError,
+                           match=r"window \[0\.0, 1\.0\] holds 2 positive samples; need >= 3"):
             fit_decay(EnergySeries(t, E), (0.0, 1.0))
+
+
+class TestSpectralRate:
+    """The step is linear and time-invariant: its energy decays at the
+    rate -2 ln(rho)/dt set by the step map's spectral radius rho."""
+
+    MESH = UniformMesh(20, 1.0)
+
+    def test_rate_falls_as_dt_halves(self):
+        # backward Euler's numerical dissipation shrinks with dt
+        rates = [step_map_rate(PARAMS, self.MESH, dt) for dt in (0.005, 0.0025, 0.00125)]
+        assert rates == pytest.approx([1.29746, 1.14918, 0.93131], abs=1e-5)
+
+    def test_late_window_fit_matches_the_spectral_rate(self):
+        # by t = 20 every faster mode has died out (measured gap 3.7e-6)
+        rec = EnergyRecorder(PARAMS)
+        run(PARAMS, SimulationConfig(M=20, dt=0.005, T=40.0), sine_initial_data(1.0),
+            observers=(rec,))
+        fitted = fit_decay(rec.series(), (20.0, 40.0)).sigma1_hat
+        assert fitted == pytest.approx(step_map_rate(PARAMS, self.MESH, 0.005), rel=1e-4)
 
 
 class TestNegLogOverT:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from shearbeam import mms
+from shearbeam import mms, stepper
+from shearbeam.energy import discrete_energy
 from shearbeam.femesh import UniformMesh, integrate
 from shearbeam.mms import (ConvergenceRow, convergence_table, error_norm,
                            initial_data, observed_order_slope, reference_case,
                            run_level)
-from shearbeam.model import InvalidTimeStep, ValidationError
-from shearbeam.stepper import initial_state
+from shearbeam.model import ConfigError, SimulationConfig
+from shearbeam.stepper import State, initial_state
 
 from oracles import fd_sources, random_state
 
@@ -105,7 +106,7 @@ class TestErrorNorm:
 
     def test_non_finite_error_is_rejected(self):
         # e^700 squared overflows: the level's error is not a result
-        with pytest.raises(ValidationError,
+        with pytest.raises(ConfigError,
                            match=r"^M=4, t = 700: the composite error is not finite$"):
             run_level(CASE, 4, 10.0, 700.0)
 
@@ -131,7 +132,7 @@ class TestConvergenceTable:
     def test_every_level_is_checked_before_any_runs(self, monkeypatch):
         calls = []
         monkeypatch.setattr(mms, "run_level", lambda *args: calls.append(args))
-        with pytest.raises(InvalidTimeStep, match="dt must be > 0"):
+        with pytest.raises(ConfigError, match=r"dt must be > 0 \(got -1\.0\)"):
             convergence_table(CASE, [(8, 0.005), (16, 0.0025), (32, -1.0)], 0.05)
         assert calls == []
 
@@ -139,6 +140,22 @@ class TestConvergenceTable:
         err = run_level(CASE, 20, 0.002, 0.2)
         rows = convergence_table(CASE, [(20, 0.002)], T=0.2)
         assert err == rows[0].error
+
+
+class TestTimeOrder:
+    def test_self_convergence_in_dt_at_fixed_M(self):
+        # At fixed M the spatial error cancels from U_dt - U_{dt/2}, so the
+        # gaps, in the scheme's energy norm, show the time order alone;
+        # criteria 1 and 2 pair dt with M and see only the spatial order.
+        finals = [stepper.run(CASE.params, SimulationConfig(M=80, dt=dt, T=1.2),
+                              initial_data(CASE), sources=CASE)
+                  for dt in (0.04, 0.02, 0.01, 0.005, 0.0025)]
+        gaps = np.array([
+            np.sqrt(2.0 * discrete_energy(State(a.mesh, a._s - b._s, a.t, a.n),
+                                          CASE.params))
+            for a, b in zip(finals, finals[1:])])
+        orders = np.log2(gaps[:-1] / gaps[1:])  # measured 0.974, 0.969, 0.969
+        assert ((orders >= 0.9) & (orders <= 1.1)).all(), orders
 
 
 class TestObservedOrder:
