@@ -65,7 +65,10 @@ def write_csv(path: Path, header: str, rows) -> None:
                 except TypeError:  # a None cell, or a row of another width
                     text = ",".join(map(_fmt, row)) + "\n"
                 handle.write(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # name the target, not the random temp file
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     except BaseException:
         os.unlink(tmp)
         raise

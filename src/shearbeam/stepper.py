@@ -41,10 +41,12 @@ super-diagonal blocks stacked (24x4 for R, 12x4 for A), and applied as a
 single product with the view whose row for interior node i holds nodes
 i-1, i and i+1 (`_windows`).  A is also assembled once in band storage —
 band width 6 on either side — and LU-factorized once per (params, mesh,
-dt) by LAPACK's dgbtrf, then solved by dgbtrs; both come from scipy's
-LAPACK extension through `_lapack`, which loads it without importing the
-rest of scipy.  Each solve must pass a backward-error test against the
-stencil (`RESIDUAL_TOL`).  Optional sources
+dt) by LAPACK's dgbtrf, then solved by dgbtrs, or, when dgbtrf made no
+row interchanges, by two bare triangular sweeps over L and U (the same
+bits in less time); both come from scipy's LAPACK extension through
+`_lapack`, which loads it without importing the rest of scipy.  Each
+solve must pass a backward-error test against the stencil
+(`RESIDUAL_TOL`).  Optional sources
 f_i(x, t) = sum_k g_ik(x) tau_k(t) enter at the new time level, matching
 the backward-Euler character of the scheme: the load vectors of all g_ik
 are assembled in one call per mesh, and each step weights them by tau(t_n).
@@ -236,12 +238,28 @@ class BlockSystem:
         # Maps the new unknowns x to (x, dt*x) in the state's columns.
         self._update = np.hstack([np.eye(4), self.dt * np.eye(4)])
 
-        lu, piv, info = lapack.dgbtrf(_band(self._A, n), _KL, _KU)
+        ab = _band(self._A, n)
+        lu, piv, info = lapack.dgbtrf(ab, _KL, _KU)
         if info > 0:
             raise SolverFailure(f"zero pivot at position {info} during factorization")
         if info < 0:
             raise SolverFailure(f"banded factorization rejected argument {-info}")
         self._lu, self._piv = lu, piv
+        if piv.tobytes() == np.arange(piv.size, dtype=piv.dtype).tobytes():
+            # No interchanges, so no fill-in: U is an upper band of _KU
+            # superdiagonals, and so is L, unit-diagonal, with the unknowns
+            # reversed.  dgbtrs with kl = 0 solves each by one sweep (kl = 6
+            # calls dger per column; ipiv goes unread), dividing exactly by
+            # L's stored 1.0.  They are packed contiguous, as f2py copies
+            # slices per call, into the band's buffer, which dgbtrf copied
+            # and left unused.  Bytes are compared: `==` on two int types
+            # would page in a numpy loop nothing else runs (192 KiB).
+            m, k = lu.shape[1], _KU + 1
+            packed = ab.reshape(-1)[:2 * k * m].reshape(k, -1, order="F")
+            packed[:, :m], packed[:, m:] = lu[_KL:_KL + k], lu[_KL + _KU:][::-1, ::-1]
+            packed[_KU, m:] = 1.0
+            self._upper, self._lower = packed[:, :m], packed[:, m:]
+            self._lu = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Unfactorized matrix applied to a contiguous node-major (M+1, 4)
@@ -249,7 +267,13 @@ class BlockSystem:
         return _windows(x) @ self._A
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x, info = lapack.dgbtrs(self._lu, _KL, _KU, rhs, self._piv)
+        """A^{-1} rhs for a flat rhs in the solve ordering; rhs is not written."""
+        if self._lu is None:
+            y, info = lapack.dgbtrs(self._lower, 0, _KU, rhs[::-1], self._piv)
+            if info == 0:
+                x, info = lapack.dgbtrs(self._upper, 0, _KU, y[::-1], self._piv)
+        else:
+            x, info = lapack.dgbtrs(self._lu, _KL, _KU, rhs, self._piv)
         if info != 0:
             raise SolverFailure(f"banded back-substitution failed (info={info})")
         return x

@@ -479,6 +479,22 @@ class TestEnergyCommand:
         assert captured.out == ""
         assert re.fullmatch(r"IoError: \[Errno 21\] Is a directory: .*\n", captured.err)
 
+    def test_failed_rename_names_only_the_target(self, tmp_path, capsys):
+        # the same failure prints the same line, without the temp file's name
+        path = tmp_path / "energy.csv"
+        path.write_text("n,t,E,logE,negLogEOverT\n"
+                        + "\n".join(f"{i},{i / 10},{np.exp(-i / 10)},0,0"
+                                    for i in range(41)) + "\n")
+        target = tmp_path / "report"
+        target.mkdir()
+        errors = []
+        for _ in range(2):
+            assert main(["energy", "--input", str(path), "--out", str(target)]) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == \
+            f"IoError: [Errno 21] Is a directory: '{target}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["energy.csv", "report"]
+
 
 class TestEtaCheckCommand:
     @pytest.mark.parametrize("levels", ["2,100000", "20000,40000,80000"])

@@ -22,9 +22,10 @@ from shearbeam import _lapack
 
 SRC = str(Path(shearbeam.__file__).resolve().parents[1])
 
-# Solves on both paths: the step matrix on a fixed right-hand side, and
-# the offset problem at M = 2 (one unknown) and M = 40.  Printed as hex
-# bytes so that the comparison is bit for bit.
+# Solves on both paths: the step matrix on a fixed right-hand side, with
+# row interchanges at M = 40 and by the two triangular sweeps at M = 320
+# (none), and the offset problem at M = 2 (one unknown) and M = 40.
+# Printed as hex bytes so that the comparison is bit for bit.
 SOLVES = """
 import numpy as np
 from shearbeam import assemble, baseline_params, solve_eta
@@ -32,9 +33,12 @@ from shearbeam.femesh import UniformMesh
 from shearbeam.transform import EtaProblem
 
 params = baseline_params()
-system = assemble(params, UniformMesh(40, params.L), 0.01)
-rhs = np.random.default_rng(0).normal(size=system.n_unknowns)
-out = {"step": system.solve(rhs).tobytes().hex()}
+out = {}
+for key, M, dt in (("step", 40, 0.01), ("step-pivot-free", 320, 1.25e-4)):
+    system = assemble(params, UniformMesh(M, params.L), dt)
+    assert (system._lu is None) is (key == "step-pivot-free")
+    rhs = np.random.default_rng(0).normal(size=system.n_unknowns)
+    out[key] = system.solve(rhs).tobytes().hex()
 for M in (2, 40):
     problem = EtaProblem(lambda x: np.sin(np.pi * x), lambda x: x * (1 - x),
                          lambda x: np.sin(2 * np.pi * x), params)
@@ -87,7 +91,7 @@ def test_fallback_gives_the_same_bits():
                      "assert not _lapack.loaded_directly\n"
                      + SOLVES)
     direct = fresh(SOLVES)
-    assert set(fallback) == {"step", "eta2", "eta40"}
+    assert set(fallback) == {"step", "step-pivot-free", "eta2", "eta40"}
     for key, value in fallback.items():
         assert np.array_equal(np.frombuffer(bytes.fromhex(value)),
                               np.frombuffer(bytes.fromhex(direct[key]))), key

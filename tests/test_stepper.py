@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from shearbeam import model, stepper
+from shearbeam._lapack import lapack
 from shearbeam.energy import EnergyRecorder, check_monotone, discrete_energy
 from shearbeam.femesh import (FeFunction, UniformMesh, load_vector, stencils,
                               toeplitz)
@@ -218,6 +219,44 @@ class TestAdvance:
         with pytest.raises(SolverFailure,
                            match=r"^step 1 \(t = 0.01\): linear solve residual"):
             advance(system, state)
+
+
+# (M, dt) of the fine-mesh run and of the convergence study's M=320 level,
+# where dgbtrf makes no row interchanges, then of the baseline and of the
+# study's M=160 level, where it does.
+PIVOT_FREE = [(1280, 0.001), (320, 1.25e-4)]
+PIVOTED = [(100, 0.005), (160, 2.5e-4)]
+
+
+class TestSolve:
+    @pytest.mark.parametrize("M, dt, pivot_free",
+                             [(*m, True) for m in PIVOT_FREE]
+                             + [(*m, False) for m in PIVOTED])
+    def test_path_follows_the_pivots(self, M, dt, pivot_free):
+        system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
+        assert (system._lu is None) is pivot_free
+
+    @pytest.mark.parametrize("M, dt", PIVOT_FREE)
+    def test_sweeps_match_dgbtrs_bit_for_bit(self, M, dt):
+        system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
+        lu, piv, info = lapack.dgbtrf(stepper._band(system._A, M - 1),
+                                      stepper._KL, stepper._KU)
+        assert info == 0
+        rhs = np.random.default_rng(M).normal(size=system.n_unknowns)
+        x, info = lapack.dgbtrs(lu, stepper._KL, stepper._KU, rhs, piv)
+        assert info == 0
+        assert system.solve(rhs).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("M, dt", PIVOT_FREE + PIVOTED)
+    def test_inverts_matvec_and_keeps_rhs(self, M, dt):
+        system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
+        x = np.zeros((M + 1, 4))
+        x[1:-1] = np.random.default_rng(M).normal(size=(M - 1, 4))
+        rhs = system.matvec(x).ravel()
+        before = rhs.copy()
+        assert_allclose(system.solve(rhs), x[1:-1].ravel(), rtol=1e-12, atol=1e-12)
+        # advance reads the right-hand side again for its residual check
+        assert rhs.tobytes() == before.tobytes()
 
 
 class TestRun:
