@@ -117,13 +117,14 @@ def num_steps(config: SimulationConfig) -> int:
 
 def run_bytes(config: SimulationConfig, recorded: bool = True) -> int:
     """Estimated bytes a run holds: the (19, 4(M-1)) band and its LU
-    factor, four (M+1, 8) states and, when `recorded` (the recorders of
-    `simulate`), the snapshot fields kept until the end (ceil(N/stride) + 1
-    arrays of shape (M+1, 4)) and the per-step energy and probe rows.
+    factor, four (M+1, 8) states and two (M-1, 24) windows and, when
+    `recorded` (the recorders of `simulate`), the snapshot fields kept until
+    the end (ceil(N/stride) + 1 arrays of shape (M+1, 4)) and the per-step
+    energy and probe rows.
     `config` must pass `validate`'s other checks first (finite T/dt,
     stride >= 1)."""
     M, n = config.M, num_steps(config)
-    nbytes = 8 * (2 * 19 * 4 * (M - 1) + 4 * 8 * (M + 1))
+    nbytes = 8 * (2 * 19 * 4 * (M - 1) + 4 * 8 * (M + 1) + 2 * 24 * (M - 1))
     if recorded:
         snapshots = -(-n // config.snapshot_stride) + 1
         nbytes += 8 * 4 * (M + 1) * snapshots

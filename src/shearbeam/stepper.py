@@ -39,7 +39,8 @@ One step is
 Each operator is stored as one stencil, the transposed sub-, main- and
 super-diagonal blocks stacked (24x4 for R, 12x4 for A), and applied as a
 single product with the view whose row for interior node i holds nodes
-i-1, i and i+1 (`_windows`).  A is also assembled once in band storage —
+i-1, i and i+1 (`_windows`; one copy per state, `State.windows`, serves
+its energy and the next step).  A is also assembled once in band storage —
 band width 6 on either side — and LU-factorized once per (params, mesh,
 dt) by LAPACK's dgbtrf, then solved by dgbtrs, or, when dgbtrf made no
 row interchanges, by two bare triangular sweeps over L and U (the same
@@ -101,12 +102,13 @@ class State:
     `s` is one contiguous node-major (M+1, 8) array over all M+1 nodes with
     columns (xi, Phi, psi, vartheta, u, phi, phi - u, w) and zero end rows.
     The state takes it over and makes it read-only; the fields are views of
-    its columns' interior rows.
+    its columns' interior rows.  It keeps only `s` and its window copy.
     """
 
     def __init__(self, mesh: UniformMesh, s: np.ndarray, t: float, n: int):
         s.setflags(write=False)
         self.mesh, self._s, self.t, self.n = mesh, s, t, n
+        self._w = None
 
     u = _column(_U)
     phi = _column(_DPHI)
@@ -115,6 +117,14 @@ class State:
     xi = _column(_XI, "u_t")
     Phi = _column(_PHI, "phi_t")
     vartheta = _column(_VTH, "w_t, the temperature")
+
+    def windows(self) -> np.ndarray:
+        """Read-only contiguous `_windows(s)`, made once (a cached_property
+        would lock)."""
+        if self._w is None:
+            self._w = np.ascontiguousarray(_windows(self._s))
+            self._w.setflags(write=False)
+        return self._w
 
     def __repr__(self) -> str:
         return f"State(mesh={self.mesh!r}, t={self.t!r}, n={self.n!r})"
@@ -181,9 +191,8 @@ def _energy_stencil(params: PhysicalParams, h: float) -> np.ndarray:
 def discrete_energy(state: State, params: PhysicalParams) -> float:
     """Energy of one discrete state, 1/2 s.(E s); positive definite for
     positive params."""
-    s = state._s
-    es = _windows(s) @ _energy_stencil(params, state.mesh.h)
-    return float(0.5 * np.vdot(s[1:-1], es))
+    es = state.windows() @ _energy_stencil(params, state.mesh.h)
+    return float(0.5 * np.vdot(state._s[1:-1], es))
 
 
 class BlockSystem:
@@ -291,7 +300,7 @@ def advance(system: BlockSystem, state: State, loads=None) -> State:
     SolverFailure, or ConfigError when its numbers left double range,
     naming the step and its time."""
     s = state._s
-    rhs = _windows(s) @ system._R
+    rhs = state.windows() @ system._R
     if loads is not None:
         rhs += loads
 

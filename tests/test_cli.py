@@ -219,6 +219,26 @@ class TestErrorPaths:
         assert main(["simulate", "--config", str(cfg)]) == 4
         assert capsys.readouterr().err.startswith("SolverFailure: step 1")
 
+    @pytest.mark.parametrize("flags, position", [
+        (["--lambda", "1e250"], 12),
+        (["--rho", "1e-250", "--lambda", "1e200", "--K", "1e-300"], 10)],
+        ids=["lambda", "rho-lambda-K"])
+    def test_extreme_finite_parameters_meet_a_zero_pivot(self, tmp_path, capsys,
+                                                         flags, position):
+        # Finite, positive parameters far apart in scale: the step matrix
+        # factorizes to an exact zero pivot in floating point.  Whether such
+        # inputs should be rejected before factorizing is an open question.
+        argv = ["simulate", "--config", str(BASELINE_CFG), "--M", "4", "--dt", "0.01",
+                "--T", "0.05", "--output-dir", str(tmp_path / "out")] + flags
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"SolverFailure: zero pivot at position {position} "
+                                "during factorization\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("case", ["probes", "window", "row", "short-row",
                                       "no-levels", "M", "dt", "snapshot-stride",
                                       "T", "dup-probes", "no-rows",

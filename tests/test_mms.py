@@ -158,6 +158,19 @@ class TestTimeOrder:
         assert ((orders >= 0.9) & (orders <= 1.1)).all(), orders
 
 
+class TestSpaceOrder:
+    def test_spatial_order_at_small_dt(self):
+        # At dt = 2e-5 the time error is far below the spatial error, so the
+        # orders show the P1 spatial order alone, coming down to 1 from above.
+        rows = convergence_table(CASE, [(M, 2e-5) for M in (10, 20, 40, 80, 160)],
+                                 T=0.2)
+        orders = np.array([r.observed_order for r in rows[1:]])
+        # measured 1.534, 1.510, 1.256, 1.084
+        assert (np.diff(orders) <= 0.0).all(), orders
+        assert ((orders >= 1.0) & (orders <= 1.6)).all(), orders
+        assert 1.0 <= orders[-1] <= 1.2, orders
+
+
 class TestObservedOrder:
     def test_synthetic_first_order_rows(self):
         rows = [ConvergenceRow(M=M, dt=0.04 / M, error=3.0 * (1.0 / M + 0.04 / M),

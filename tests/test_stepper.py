@@ -221,6 +221,66 @@ class TestAdvance:
             advance(system, state)
 
 
+class TestWindowCopy:
+    """`State.windows`: one contiguous copy of a state's windows, shared by
+    its energy and the right-hand side of the step from it.  Products are
+    compared with the contiguous form: numpy may multiply the overlapping
+    `_windows` view by its own loop, whose bits can differ from BLAS's."""
+
+    @staticmethod
+    def expected(state, stencil):
+        return np.ascontiguousarray(stepper._windows(state._s)) @ stencil
+
+    @pytest.mark.parametrize("M", [2, 1280])
+    def test_read_only_contiguous_and_built_once(self, M):
+        state = random_state(UniformMesh(M, 1.0), np.random.default_rng(M))
+        w = state.windows()
+        assert w is state.windows()
+        assert w.flags.c_contiguous
+        assert_array_equal(w, np.ascontiguousarray(stepper._windows(state._s)))
+        with pytest.raises(ValueError, match="read-only"):
+            w[0, 0] = 1.0
+
+    @pytest.mark.parametrize("M", [2, 1280])
+    @pytest.mark.parametrize("energy_first", [True, False])
+    def test_energy_and_step_use_the_copy(self, monkeypatch, M, energy_first):
+        mesh = UniformMesh(M, 1.0)
+        system = assemble(PARAMS, mesh, 0.001)
+        state = random_state(mesh, np.random.default_rng(M))
+        stencil = stepper._energy_stencil(PARAMS, mesh.h)
+        energy = float(0.5 * np.vdot(state._s[1:-1], self.expected(state, stencil)))
+        rhs = self.expected(state, system._R).ravel()
+        solved = []
+        solve = system.solve
+
+        def recording_solve(b):
+            solved.append(b.copy())
+            return solve(b)
+
+        monkeypatch.setattr(system, "solve", recording_solve)
+        if energy_first:
+            assert discrete_energy(state, PARAMS) == energy
+        new = advance(system, state)
+        assert discrete_energy(state, PARAMS) == energy
+        assert solved[0].tobytes() == rhs.tobytes()
+        # the new state has its own copy
+        assert not np.shares_memory(new.windows(), state.windows())
+
+    @pytest.mark.parametrize("M", [2, 1280])
+    def test_older_state_keeps_its_energy(self, M):
+        mesh = UniformMesh(M, 1.0)
+        system = assemble(PARAMS, mesh, 0.001)
+        first = random_state(mesh, np.random.default_rng(M))
+        e0 = discrete_energy(first, PARAMS)
+        state = first
+        for _ in range(3):
+            state = advance(system, state)
+            discrete_energy(state, PARAMS)
+        assert discrete_energy(first, PARAMS) == e0
+        assert_array_equal(first.windows(),
+                           np.ascontiguousarray(stepper._windows(first._s)))
+
+
 # (M, dt) of the fine-mesh run and of the convergence study's M=320 level,
 # where dgbtrf makes no row interchanges, then of the baseline and of the
 # study's M=160 level, where it does.
