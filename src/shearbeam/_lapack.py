@@ -4,18 +4,17 @@
 `dgbtrs`; `transform` solves its tridiagonal offset problem with `dgtsv`.
 All three live in scipy's f2py extension `linalg/_flapack`, which needs
 nothing of scipy but numpy.  Importing scipy's linalg package to reach
-them costs more than the rest of the package's start-up together (it
-pulls in scipy's array-API layer and, through it, parts of numpy the
-package never uses), so the extension is loaded straight from scipy's
-install location, which `importlib.util.find_spec` gives without
-importing scipy.  It is registered under the dotted name scipy imports it
-by, so a later import of scipy's linalg package reuses it instead of
-loading it again.
+them costs more than the rest of the package's start-up together, so the
+extension file is loaded by itself, in the `linalg` directory of the
+location `importlib.util.find_spec` gives for scipy without importing it.
+It is registered under the dotted name scipy imports it by, so a later
+import of scipy's linalg package reuses it; when that package was
+imported first, its module is the one used.
 
-When that fails for any reason (a scipy that lays its files out
-differently, say) or the module lacks one of the routines, the same f2py
-functions are taken from scipy's `linalg.lapack`; both paths give the
-same bits.  `loaded_directly` tells which one was taken.
+This is the only way in.  When scipy is not installed, or its `linalg`
+directory holds no `_flapack` extension file (an editable install that
+builds its extensions elsewhere, say), importing the package raises
+ImportError naming the directory searched.
 """
 
 from __future__ import annotations
@@ -26,40 +25,29 @@ import os
 import sys
 from types import ModuleType
 
-# The package holding the extension, as a path from scipy's root; the
-# extension's dotted name is the one scipy's own import gives it.
-_PACKAGE = ("scipy", "linalg")
-_NAME = ".".join(_PACKAGE) + "._flapack"
-ROUTINES = ("dgbtrf", "dgbtrs", "dgtsv")
+# The extension's dotted name, the one scipy's own import gives it.
+_NAME = "scipy.linalg._flapack"
 
 
-def _load_direct() -> ModuleType:
-    """scipy's `_flapack` extension, loaded from its file without importing
-    scipy (or the module already registered under its name)."""
+def _flapack() -> ModuleType:
+    """scipy's `_flapack` extension: the module registered under its name,
+    or else the one loaded from the file in scipy's `linalg` directory."""
     if _NAME in sys.modules:
         return sys.modules[_NAME]
-    root, = importlib.util.find_spec(_PACKAGE[0]).submodule_search_locations
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed; its LAPACK extension _flapack is needed")
+    directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
     finder = importlib.machinery.FileFinder(
-        os.path.join(root, *_PACKAGE[1:]),
-        (importlib.machinery.ExtensionFileLoader,
-         importlib.machinery.EXTENSION_SUFFIXES))
+        directory, (importlib.machinery.ExtensionFileLoader,
+                    importlib.machinery.EXTENSION_SUFFIXES))
     spec = finder.find_spec(_NAME)
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {directory}")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[_NAME] = module
     return module
 
 
-def load() -> tuple[ModuleType, bool]:
-    """(namespace holding `ROUTINES`, whether it was loaded directly)."""
-    try:
-        module = _load_direct()
-        if all(hasattr(module, name) for name in ROUTINES):
-            return module, True
-    except Exception:
-        pass
-    from scipy.linalg import lapack as fallback
-    return fallback, False
-
-
-lapack, loaded_directly = load()
+lapack = _flapack()

@@ -88,7 +88,7 @@ def read_energy_csv(path: Path) -> energy_mod.EnergySeries:
     E >= 0 and a finite t greater than the previous row's."""
     t, E = [], []
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             header = handle.readline().strip().split(",")
             try:
                 it, iE = header.index("t"), header.index("E")

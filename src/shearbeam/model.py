@@ -13,6 +13,7 @@ the implicit step matrix invertible, so validation rejects anything else.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -123,7 +124,7 @@ def run_bytes(config: SimulationConfig, recorded: bool = True) -> int:
     energy and probe rows.
     `config` must pass `validate`'s other checks first (finite T/dt,
     stride >= 1)."""
-    M, n = config.M, num_steps(config)
+    M, n = int(config.M), num_steps(config)
     nbytes = 8 * (2 * 19 * 4 * (M - 1) + 4 * 8 * (M + 1) + 2 * 24 * (M - 1))
     if recorded:
         snapshots = -(-n // config.snapshot_stride) + 1
@@ -146,7 +147,12 @@ def validate(params: PhysicalParams, config: SimulationConfig,
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             raise ConfigError(f"parameter '{key}' must be strictly positive (got {value!r})")
 
-    if not isinstance(config.M, int) or config.M < 2:
+    # Any integer type counts (numpy's too); True and False are below 2.
+    try:
+        too_few = operator.index(config.M) < 2
+    except TypeError:
+        too_few = True
+    if too_few:
         raise ConfigError(f"M must be an integer >= 2 (got {config.M!r})")
 
     if not (math.isfinite(config.dt) and config.dt > 0):
@@ -234,7 +240,7 @@ def parse_config(path: str | Path, overrides: dict[str, str | None] | None = Non
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError:

@@ -44,8 +44,8 @@ its energy and the next step).  A is also assembled once in band storage —
 band width 6 on either side — and LU-factorized once per (params, mesh,
 dt) by LAPACK's dgbtrf, then solved by dgbtrs, or, when dgbtrf made no
 row interchanges, by two bare triangular sweeps over L and U (the same
-bits in less time); both come from scipy's LAPACK extension through
-`_lapack`, which loads it without importing the rest of scipy.  Each
+bits in less time); both are routines of scipy's LAPACK extension, reached
+through `_lapack`, which loads it without importing the rest of scipy.  Each
 solve must pass a backward-error test against the stencil
 (`RESIDUAL_TOL`).  Optional sources
 f_i(x, t) = sum_k g_ik(x) tau_k(t) enter at the new time level, matching

@@ -16,8 +16,8 @@ here: find eta with
                          + beta*(phi1, v_x)          for all test v.
 
 The P1 system is tridiagonal and Toeplitz; it is solved by LAPACK's dgtsv
-(Gaussian elimination with partial pivoting), taken from scipy's LAPACK
-extension through `_lapack` like the stepper's banded routines.
+(Gaussian elimination with partial pivoting), one more routine of scipy's
+LAPACK extension reached through `_lapack` like the stepper's banded routines.
 
 During a run the temperature itself never appears; it is recovered from
 the state as theta = w_t (`State.vartheta`).

@@ -246,7 +246,8 @@ class TestErrorPaths:
                                       "nan-energy", "inf-energy", "nan-time",
                                       "negative-energy", "repeated-time",
                                       "decreasing-time", "non-utf8-config",
-                                      "non-utf8-energy", "eta-levels",
+                                      "non-utf8-energy", "bom-non-utf8-config",
+                                      "eta-levels",
                                       "K-overflow", "step-overflow",
                                       "convergence-step-overflow", "huge-M",
                                       "eta-huge-M", "eta-too-large", "L-overflow",
@@ -275,6 +276,8 @@ class TestErrorPaths:
             energy_csv.write_text("n,t,E\n" + "\n".join(rows) + "\n")
         elif case == "non-utf8-config":
             cfg.write_bytes(b"rho = 1\n\xff\n")
+        elif case == "bom-non-utf8-config":
+            cfg.write_bytes(b"\xef\xbb\xbfrho = 1\n\xff\n")
         elif case == "non-utf8-energy":
             energy_csv.write_bytes(b"n,t,E\n0,0,1\n1,0.1,\xff\n")
         argv = {"probes": ["simulate", "--config", str(cfg), "--probes", "abc"],
@@ -300,6 +303,7 @@ class TestErrorPaths:
                 "decreasing-time": ["energy", "--input", str(energy_csv)],
                 "non-utf8-config": ["simulate", "--config", str(cfg)],
                 "non-utf8-energy": ["energy", "--input", str(energy_csv)],
+                "bom-non-utf8-config": ["simulate", "--config", str(cfg)],
                 "eta-levels": ["eta-check", "--levels", "1,2"],
                 "K-overflow": ["simulate", "--config", str(cfg), "--K", "1e308"],
                 "step-overflow": ["simulate", "--config", str(cfg), "--T", "1e308",
@@ -481,6 +485,17 @@ class TestEnergyCommand:
         path.write_text("n,t,E,logE,negLogEOverT\n" + rows + "\n")
         assert main(["energy", "--input", str(path), "--window", "1,3"]) == 0
         assert "fit_window = [1, 3]" in capsys.readouterr().out
+
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        t = np.linspace(0.0, 4.0, 101)
+        text = "t,E\n" + "".join(f"{ti},{np.exp(-ti)}\n" for ti in t)
+        reports = []
+        for name, prefix in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(prefix + text.encode())
+            assert main(["energy", "--input", str(path)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and "sigma1_hat = 1" in reports[0]
 
     def test_wrong_header_is_exit_2(self, tmp_path):
         path = tmp_path / "other.csv"

@@ -40,6 +40,18 @@ class TestValidate:
         with pytest.raises(ConfigError, match=r"M must be an integer >= 2 \(got 1\)"):
             validate(baseline_params(), good_config(M=1))
 
+    @pytest.mark.parametrize("M", [True, 100.0])
+    def test_non_integer_M_rejected(self, M):
+        with pytest.raises(ConfigError, match=rf"M must be an integer >= 2 \(got {M!r}\)"):
+            validate(baseline_params(), good_config(M=M))
+
+    def test_numpy_integer_M_runs_like_int(self):
+        # mms levels and meshes built with numpy give numpy element counts
+        params, init = baseline_params(), sine_initial_data(1.0)
+        finals = [stepper.run(params, good_config(M=M, T=0.05, probe_points=()), init)
+                  for M in (20, np.int64(20))]
+        assert finals[0]._s.tobytes() == finals[1]._s.tobytes()
+
     @pytest.mark.parametrize("key", list(model.PARAM_KEYS))
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_rejection_is_total(self, key, bad):
@@ -110,8 +122,9 @@ class TestValidate:
             validate(baseline_params(), good_config(snapshot_stride=0))
 
     # validate allocates nothing, so these sizes are safe to test.
-    @pytest.mark.parametrize("kw", [dict(M=10 ** 9), dict(M=10 ** 17), dict(T=1e12)],
-                             ids=["M1e9", "M1e17", "steps2e14"])
+    @pytest.mark.parametrize("kw", [dict(M=10 ** 9), dict(M=10 ** 17), dict(T=1e12),
+                                    dict(M=np.int64(2 ** 62))],
+                             ids=["M1e9", "M1e17", "steps2e14", "M2e62-numpy"])
     def test_run_too_large_rejected(self, kw):
         with pytest.raises(ConfigError, match="run too large"):
             validate(baseline_params(), good_config(**kw))
@@ -186,6 +199,13 @@ class TestParseConfig:
         assert params == baseline_params()
         assert config == good_config()
         validate(params, config)
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # an editor's UTF-8 BOM must not hide the first line's comment marker
+        base = REPO / "configs" / "baseline.cfg"
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbf" + base.read_bytes())
+        assert parse_config(cfg) == parse_config(base)
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
