@@ -18,6 +18,7 @@ included), 3 I/O error, 4 solver failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -49,10 +50,16 @@ def write_csv(path: Path, header: str, rows) -> None:
     """Stream `header` and one formatted line per row into a temp file in
     the target directory, then rename it over `path`: readers see the old
     file or the whole new one, never a partial write.  A row is formatted
-    in one `%` step, one `%.17g` per header column, which gives the text
-    of `_fmt` per value; a row that `%` rejects goes through `_fmt`.  The
-    temp file gets `open()`'s mode and never replaces an existing file."""
-    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    in one `%` step, which gives the text of `_fmt` per value: `%.17g`
+    per cell, or `%s` where the first row holds text (cells the caller
+    formatted once, as `_snapshot_rows` does); a row that `%` rejects goes
+    through `_fmt`.  The temp file gets `open()`'s mode and never replaces
+    an existing file."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in first) + "\n"
+        rows = itertools.chain((first,), rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
     handle = open(tmp, "x")  # outside the try: a name in use is not ours to unlink
@@ -63,7 +70,8 @@ def write_csv(path: Path, header: str, rows) -> None:
                 try:
                     text = line % row
                 except TypeError:  # a None cell, or a row of another width
-                    text = ",".join(map(_fmt, row)) + "\n"
+                    text = ",".join(c if isinstance(c, str) else _fmt(c)
+                                    for c in row) + "\n"
                 handle.write(text)
         try:
             os.replace(tmp, path)
@@ -72,6 +80,16 @@ def write_csv(path: Path, header: str, rows) -> None:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _snapshot_rows(recorder: stepper.SnapshotRecorder):
+    """`recorder.rows()` with x and t as text cells, as `_fmt` writes
+    them: x is formatted once per run and t once per snapshot."""
+    nodes = [_fmt(x) for x in recorder.nodes or ()]
+    for t, fields in zip(recorder.times, recorder.fields):
+        t_text = _fmt(t)
+        for x, (u, phi, psi, w) in zip(nodes, fields.tolist()):
+            yield (x, t_text, u, phi, psi, w)
 
 
 def write_energy_csv(path: Path, recorder: energy_mod.EnergyRecorder) -> None:
@@ -219,7 +237,7 @@ def _cmd_simulate(args) -> int:
         name = f"probe_x{x!r}.csv"  # shortest round-trip form, e.g. 0.6
         write_csv(out / name, "t,u,phi,psi,w", probe_rec.samples[x])
         written.append(name)
-    write_csv(out / "snapshots.csv", "x,t,u,phi,psi,w", snap_rec.rows())
+    write_csv(out / "snapshots.csv", "x,t,u,phi,psi,w", _snapshot_rows(snap_rec))
     written.append("snapshots.csv")
 
     print(f"completed {n_final} steps to t = {_fmt(final.t)}")

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ConfigError
+from .model import ConfigError, element_count
 
 # 3-point Gauss-Legendre rule mapped to the reference element [0, 1].
 _GAUSS_S = 0.5 + 0.5 * np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
@@ -48,9 +48,7 @@ class UniformMesh:
     """Uniform partition of [0, L] into M elements of width h = L/M."""
 
     def __init__(self, M: int, L: float = 1.0):
-        if int(M) != M or M < 2:
-            raise ConfigError(f"M must be an integer >= 2 (got {M!r})")
-        self.M = int(M)
+        self.M = element_count(M)
         self.L = float(L)
         self.h = self.L / self.M
         if not self.h > 0.0:

@@ -110,6 +110,19 @@ _ENERGY_ROW_BYTES = 104
 _PROBE_ROW_BYTES = 184
 
 
+def element_count(M) -> int:
+    """M as an int; raises ConfigError unless it is an integer >= 2.  Any
+    integer type counts (numpy's too); True and False are below 2, and a
+    float is no integer, whatever its value."""
+    try:
+        count = operator.index(M)
+    except TypeError:
+        count = 0
+    if count < 2:
+        raise ConfigError(f"M must be an integer >= 2 (got {M!r})")
+    return count
+
+
 def num_steps(config: SimulationConfig) -> int:
     """Number of implicit steps: round(T/dt).  The run reports results at
     N*dt, which by validation lies within one dt of the requested T."""
@@ -147,13 +160,7 @@ def validate(params: PhysicalParams, config: SimulationConfig,
         if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
             raise ConfigError(f"parameter '{key}' must be strictly positive (got {value!r})")
 
-    # Any integer type counts (numpy's too); True and False are below 2.
-    try:
-        too_few = operator.index(config.M) < 2
-    except TypeError:
-        too_few = True
-    if too_few:
-        raise ConfigError(f"M must be an integer >= 2 (got {config.M!r})")
+    element_count(config.M)
 
     if not (math.isfinite(config.dt) and config.dt > 0):
         raise ConfigError(f"dt must be > 0 (got {config.dt!r})")

@@ -42,12 +42,16 @@ single product with the view whose row for interior node i holds nodes
 i-1, i and i+1 (`_windows`; one copy per state, `State.windows`, serves
 its energy and the next step).  A is also assembled once in band storage —
 band width 6 on either side — and LU-factorized once per (params, mesh,
-dt) by LAPACK's dgbtrf, then solved by dgbtrs, or, when dgbtrf made no
-row interchanges, by two bare triangular sweeps over L and U (the same
-bits in less time); both are routines of scipy's LAPACK extension, reached
-through `_lapack`, which loads it without importing the rest of scipy.  Each
-solve must pass a backward-error test against the stencil
-(`RESIDUAL_TOL`).  Optional sources
+dt) by LAPACK's dgbtrf.  When dgbtrf made no row interchanges, each step
+is solved by two bare triangular sweeps over L and U (the bits of dgbtrs
+in less time).  When it made some, D A is factorized too, D scaling the
+psi rows by a power of two; if that makes none, the sweeps run over
+D^-1 L and U, which gives the bits of A's own no-interchange LU, and
+otherwise each step is solved by dgbtrs.  Only the factors hold the scale.
+dgbtrf and dgbtrs come from scipy's LAPACK extension, reached through
+`_lapack`, which loads it without importing the rest of scipy.  Each solve
+must pass a backward-error test against the stencil of A (`RESIDUAL_TOL`).
+Optional sources
 f_i(x, t) = sum_k g_ik(x) tau_k(t) enter at the new time level, matching
 the backward-Euler character of the scheme: the load vectors of all g_ik
 are assembled in one call per mesh, and each step weights them by tau(t_n).
@@ -84,11 +88,23 @@ _DISPLACEMENTS = np.diag([0.0] * 4 + [1.0] * 4)
 # not grow with M or 1/dt.
 RESIDUAL_TOL = 1e-12
 
+# Scale of the psi rows in the second factorization `BlockSystem` tries
+# when the step matrix's own makes row interchanges: on most meshes and
+# time steps it makes none.
+_PSI_SCALE = 2.0 ** 6
+
 
 def _windows(v: np.ndarray) -> np.ndarray:
     """(M-1, 3k) view of a contiguous (M+1, k) node-major array whose row i
     holds the rows i, i+1 and i+2 of v: interior node i+1 and its neighbours."""
     return np.ndarray((v.shape[0] - 2, 3 * v.shape[1]), v.dtype, v, 0, v.strides)
+
+
+def _no_interchanges(piv: np.ndarray) -> bool:
+    """Whether dgbtrf's pivot indices swap no rows.  Bytes are compared:
+    `==` on two int types would page in a numpy loop nothing else runs
+    (192 KiB)."""
+    return piv.tobytes() == np.arange(piv.size, dtype=piv.dtype).tobytes()
 
 
 def _column(col: int, doc: str | None = None) -> property:
@@ -253,20 +269,40 @@ class BlockSystem:
             raise SolverFailure(f"zero pivot at position {info} during factorization")
         if info < 0:
             raise SolverFailure(f"banded factorization rejected argument {-info}")
+        pivot_free, scale = _no_interchanges(piv), 1.0
+        if not pivot_free:
+            # D A = L U, with D scaling the psi rows by _PSI_SCALE, often
+            # needs no interchanges.  A power of two scales exactly, so
+            # these factors solve A x = rhs to the bits of A's own
+            # no-interchange LU.  A scaled row that overflows is not tried.
+            scaled = self._A.copy()
+            with np.errstate(over="ignore"):
+                scaled[:, _PSI] *= _PSI_SCALE
+            if np.isfinite(scaled).all():
+                ab = _band(scaled, n)
+                lu_s, piv_s, info = lapack.dgbtrf(ab, _KL, _KU)
+                if info == 0 and _no_interchanges(piv_s):
+                    lu, piv, pivot_free, scale = lu_s, piv_s, True, _PSI_SCALE
         self._lu, self._piv = lu, piv
-        if piv.tobytes() == np.arange(piv.size, dtype=piv.dtype).tobytes():
+        if pivot_free:
             # No interchanges, so no fill-in: U is an upper band of _KU
             # superdiagonals, and so is L, unit-diagonal, with the unknowns
             # reversed.  dgbtrs with kl = 0 solves each by one sweep (kl = 6
             # calls dger per column; ipiv goes unread), dividing exactly by
-            # L's stored 1.0.  They are packed contiguous, as f2py copies
-            # slices per call, into the band's buffer, which dgbtrf copied
-            # and left unused.  Bytes are compared: `==` on two int types
-            # would page in a numpy loop nothing else runs (192 KiB).
+            # L's stored diagonal.  They are packed contiguous, as f2py
+            # copies slices per call, into the band's buffer, which dgbtrf
+            # copied and left unused.
             m, k = lu.shape[1], _KU + 1
             packed = ab.reshape(-1)[:2 * k * m].reshape(k, -1, order="F")
             packed[:, :m], packed[:, m:] = lu[_KL:_KL + k], lu[_KL + _KU:][::-1, ::-1]
             packed[_KU, m:] = 1.0
+            if scale != 1.0:
+                # The forward sweep solves with D^-1 L: each psi row of L,
+                # its diagonal included, divided by the scale.  Entry
+                # (i, i - d) of L lies in row _KU - d, column m - 1 - i + d
+                # of the reversed band, and m is a multiple of 4.
+                for d in range(_KL + 1):
+                    packed[_KU - d, m + (3 - _PSI + d) % 4::4] /= scale
             self._upper, self._lower = packed[:, :m], packed[:, m:]
             self._lu = None
 

@@ -66,6 +66,28 @@ class TestWriteCsv:
         expected = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
         assert path.read_bytes() == (header + "\n" + expected).encode()
 
+    def test_text_cells_are_written_as_they_stand(self, tmp_path):
+        # a first row's text cell is a `%s` field; a row `%` rejects still
+        # keeps its text cells
+        path = tmp_path / "table.csv"
+        cli.write_csv(path, "x,t,a,b", [("0", "0.5", 1.0, -0.0),
+                                        ("0.25", "0.5", 2.5, math.nan),
+                                        ("1", "0.5", None, 3)])
+        assert path.read_text() == "x,t,a,b\n0,0.5,1,-0\n0.25,0.5,2.5,nan\n1,0.5,,3\n"
+
+    def test_snapshot_text_matches_numeric_rows(self, tmp_path):
+        # x and t formatted once give the bytes of formatting every row
+        config = model.SimulationConfig(M=9, dt=0.01, T=0.05, snapshot_stride=2)
+        snap = stepper.SnapshotRecorder(config.snapshot_stride, n_final=5)
+        stepper.run(model.baseline_params(), config, model.sine_initial_data(1.0),
+                    observers=(snap,))
+        header = "x,t,u,phi,psi,w"
+        cli.write_csv(tmp_path / "text.csv", header, cli._snapshot_rows(snap))
+        cli.write_csv(tmp_path / "rows.csv", header, snap.rows())
+        text = (tmp_path / "text.csv").read_bytes()
+        assert text == (tmp_path / "rows.csv").read_bytes()
+        assert text.count(b"\n") == 1 + 4 * 10  # snapshots at n = 0, 2, 4, 5
+
     def test_never_sets_the_umask(self, tmp_path, monkeypatch):
         # the mask is process-wide; open() applies it without changing it
         def umask(mask):

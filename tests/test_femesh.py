@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -150,6 +151,18 @@ class TestInterpolation:
     def test_tiny_mesh_rejected(self):
         with pytest.raises(ConfigError, match=r"M must be an integer >= 2 \(got 1\)"):
             UniformMesh(1, 1.0)
+
+    @pytest.mark.parametrize("M", [100.0, np.float64(8.0), 2.5, True, False, "8"])
+    def test_non_integer_M_rejected(self, M):
+        # the rule `model.validate` applies to a run's M
+        with pytest.raises(ConfigError,
+                           match=rf"M must be an integer >= 2 \(got {re.escape(repr(M))}\)"):
+            UniformMesh(M, 1.0)
+
+    def test_numpy_integer_M_accepted(self):
+        mesh = UniformMesh(np.int64(8), 1.0)
+        assert type(mesh.M) is int and mesh.M == 8
+        assert mesh.nodes.tobytes() == UniformMesh(8, 1.0).nodes.tobytes()
 
     def test_mesh_beyond_array_limit_rejected(self):
         # numpy refuses the node array before it allocates anything.

@@ -19,7 +19,7 @@ from shearbeam.stepper import (ProbeRecorder, SnapshotRecorder, advance,
                                assemble, initial_state, run)
 
 from oracles import (FIELDS, dense, dense_step_oracle, make_state,
-                     random_state)
+                     quadrature_matrices, random_state)
 
 PARAMS = baseline_params()
 
@@ -282,32 +282,76 @@ class TestWindowCopy:
 
 
 # (M, dt) of the fine-mesh run and of the convergence study's M=320 level,
-# where dgbtrf makes no row interchanges, then of the baseline and of the
-# study's M=160 level, where it does.
+# where dgbtrf makes no row interchanges on the step matrix itself; of the
+# baseline and of the study's levels M=160, 80 and 40, where it makes some
+# but none once the psi rows are scaled; and of coarse meshes at large dt,
+# where it makes some either way.
 PIVOT_FREE = [(1280, 0.001), (320, 1.25e-4)]
-PIVOTED = [(100, 0.005), (160, 2.5e-4)]
+SCALED = [(100, 0.005), (160, 2.5e-4), (80, 5e-4), (40, 1e-3)]
+PIVOTED = [(8, 0.01), (20, 0.05)]
+
+
+def factorize(stencil, n):
+    """dgbtrf of a stencil's band over n interior nodes."""
+    lu, piv, info = lapack.dgbtrf(stepper._band(stencil, n), stepper._KL, stepper._KU)
+    assert info == 0
+    return lu, piv
+
+
+def scaled_solve(system, rhs, scale):
+    """A^{-1} rhs by dgbtrs on the LU of D A, built by hand, where D scales
+    the psi rows by `scale`; that LU must make no row interchanges."""
+    stencil = system._A.copy()
+    stencil[:, stepper._PSI] *= scale
+    lu, piv = factorize(stencil, system.mesh.n_interior)
+    assert stepper._no_interchanges(piv)
+    d = np.ones(system.n_unknowns)
+    d[stepper._PSI::4] = scale
+    x, info = lapack.dgbtrs(lu, stepper._KL, stepper._KU, d * rhs, piv)
+    assert info == 0
+    return x
 
 
 class TestSolve:
     @pytest.mark.parametrize("M, dt, pivot_free",
-                             [(*m, True) for m in PIVOT_FREE]
+                             [(*m, True) for m in PIVOT_FREE + SCALED]
                              + [(*m, False) for m in PIVOTED])
     def test_path_follows_the_pivots(self, M, dt, pivot_free):
         system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
         assert (system._lu is None) is pivot_free
 
+    @pytest.mark.parametrize("M, dt", SCALED + PIVOTED)
+    def test_step_matrix_itself_needs_interchanges(self, M, dt):
+        # so SCALED and PIVOTED cover the second factorization
+        system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
+        _, piv = factorize(system._A, M - 1)
+        assert not stepper._no_interchanges(piv)
+
     @pytest.mark.parametrize("M, dt", PIVOT_FREE)
     def test_sweeps_match_dgbtrs_bit_for_bit(self, M, dt):
         system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
-        lu, piv, info = lapack.dgbtrf(stepper._band(system._A, M - 1),
-                                      stepper._KL, stepper._KU)
-        assert info == 0
+        lu, piv = factorize(system._A, M - 1)
         rhs = np.random.default_rng(M).normal(size=system.n_unknowns)
         x, info = lapack.dgbtrs(lu, stepper._KL, stepper._KU, rhs, piv)
         assert info == 0
         assert system.solve(rhs).tobytes() == x.tobytes()
 
-    @pytest.mark.parametrize("M, dt", PIVOT_FREE + PIVOTED)
+    @pytest.mark.parametrize("M, dt", PIVOT_FREE)
+    def test_unscaled_sweeps_match_a_scaled_factorization(self, M, dt):
+        # a power-of-two row scale changes no bit of the solution
+        system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
+        rhs = np.random.default_rng(M).normal(size=system.n_unknowns)
+        assert system.solve(rhs).tobytes() == scaled_solve(system, rhs, 2.0 ** 6).tobytes()
+
+    @pytest.mark.parametrize("M, dt", SCALED)
+    def test_scaled_sweeps_do_not_depend_on_the_scale(self, M, dt):
+        system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
+        rhs = np.random.default_rng(M).normal(size=system.n_unknowns)
+        x = system.solve(rhs)
+        assert x.tobytes() == scaled_solve(system, rhs, 2.0 ** 6).tobytes()
+        assert x.tobytes() == scaled_solve(system, rhs, 2.0 ** 7).tobytes()
+
+    @pytest.mark.parametrize("M, dt", PIVOT_FREE + SCALED + PIVOTED)
     def test_inverts_matvec_and_keeps_rhs(self, M, dt):
         system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
         x = np.zeros((M + 1, 4))
@@ -317,6 +361,45 @@ class TestSolve:
         assert_allclose(system.solve(rhs), x[1:-1].ravel(), rtol=1e-12, atol=1e-12)
         # advance reads the right-hand side again for its residual check
         assert rhs.tobytes() == before.tobytes()
+
+    def test_scale_that_overflows_keeps_dgbtrs(self):
+        # b*Stiffness is finite, 64 times it is not: no warning, and the
+        # step is solved through A's own pivoted factors
+        params = dataclasses.replace(PARAMS, b=1e306, K=1e-3)
+        system = assemble(params, UniformMesh(8, 1.0), 1.0)
+        assert system._lu is not None
+        x = np.zeros((9, 4))
+        x[1:-1] = np.random.default_rng(8).normal(size=(7, 4))
+        assert_allclose(system.solve(system.matvec(x).ravel()), x[1:-1].ravel(),
+                        rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("M, dt", SCALED)
+    def test_operators_stay_unscaled(self, M, dt):
+        # the stencil, its norm and so the residual check are the step
+        # matrix's own: the psi rows are b*Stiffness + K*Mass and K*dt*Gradient
+        mesh = UniformMesh(M, PARAMS.L)
+        system = assemble(PARAMS, mesh, dt)
+        A = step_matrix(system)
+        mass, stiff, grad, _ = quadrature_matrices(mesh)
+        for got, expected in ((A[2::4, 2::4], PARAMS.b * stiff + PARAMS.K * mass),
+                              (A[2::4, 1::4], PARAMS.K * dt * grad)):
+            # the quadrature leaves rounding where the blocks are zero
+            assert_allclose(got, expected, rtol=1e-13,
+                            atol=1e-13 * np.abs(expected).max())
+        assert system._A_norm == np.abs(A).sum(axis=1).max()
+
+    @pytest.mark.parametrize("M, dt", SCALED)
+    def test_scaled_step_matches_dense_oracle(self, M, dt):
+        mesh = UniformMesh(M, PARAMS.L)
+        rng = np.random.default_rng(M)
+        state = random_state(mesh, rng)
+        loads = tuple(rng.normal(size=mesh.n_interior) for _ in range(4))
+        prev = {name: getattr(state, name) for name in FIELDS if name != "psi"}
+        expected = dense_step_oracle(PARAMS, mesh, dt, prev, loads)
+        got = advance(assemble(PARAMS, mesh, dt), state, np.column_stack(loads))
+        for name in FIELDS:
+            assert_allclose(getattr(got, name), expected[name],
+                            rtol=1e-11, atol=1e-11 * np.abs(expected[name]).max())
 
 
 class TestRun:
@@ -399,7 +482,9 @@ class TestRun:
 
     @pytest.mark.parametrize("M, dt, sources", [
         (2, 0.005, False), (100, 1e-8, False), (100, 10.0, False),
-        (1280, 0.001, False), (320, 1.25e-4, True)])
+        (1280, 0.001, False), (320, 1.25e-4, True),
+        # steps through the psi-row-scaled factors
+        (100, 0.005, False), (160, 2.5e-4, True)])
     def test_backward_error_headroom(self, monkeypatch, M, dt, sources):
         # every step's |A x - rhs| / (|A|_inf |x|) stays 100x below
         # RESIDUAL_TOL (measured 3e-17 to 8e-17 over M and dt)
