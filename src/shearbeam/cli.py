@@ -83,8 +83,9 @@ def write_csv(path: Path, header: str, rows) -> None:
 
 
 def _snapshot_rows(recorder: stepper.SnapshotRecorder):
-    """`recorder.rows()` with x and t as text cells, as `_fmt` writes
-    them: x is formatted once per run and t once per snapshot."""
+    """The recorder's (x, t, u, phi, psi, w) rows, time-major then
+    node-major, with x and t as text cells, as `_fmt` writes them: x is
+    formatted once per run and t once per snapshot."""
     nodes = [_fmt(x) for x in recorder.nodes or ()]
     for t, fields in zip(recorder.times, recorder.fields):
         t_text = _fmt(t)

@@ -110,15 +110,19 @@ _ENERGY_ROW_BYTES = 104
 _PROBE_ROW_BYTES = 184
 
 
-def element_count(M) -> int:
-    """M as an int; raises ConfigError unless it is an integer >= 2.  Any
-    integer type counts (numpy's too); True and False are below 2, and a
-    float is no integer, whatever its value."""
+def _integer(value) -> int | None:
+    """value as an int, or None if it is no integer: any integer type counts
+    (numpy's too) but bool, and a float is none, whatever its value."""
     try:
-        count = operator.index(M)
+        return None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        count = 0
-    if count < 2:
+        return None
+
+
+def element_count(M) -> int:
+    """M as an int; raises ConfigError unless it is an integer >= 2."""
+    count = _integer(M)
+    if count is None or count < 2:
         raise ConfigError(f"M must be an integer >= 2 (got {M!r})")
     return count
 
@@ -137,10 +141,10 @@ def run_bytes(config: SimulationConfig, recorded: bool = True) -> int:
     energy and probe rows.
     `config` must pass `validate`'s other checks first (finite T/dt,
     stride >= 1)."""
-    M, n = int(config.M), num_steps(config)
+    M, n, stride = int(config.M), num_steps(config), int(config.snapshot_stride)
     nbytes = 8 * (2 * 19 * 4 * (M - 1) + 4 * 8 * (M + 1) + 2 * 24 * (M - 1))
     if recorded:
-        snapshots = -(-n // config.snapshot_stride) + 1
+        snapshots = -(-n // stride) + 1
         nbytes += 8 * 4 * (M + 1) * snapshots
         nbytes += (n + 1) * (_ENERGY_ROW_BYTES
                              + _PROBE_ROW_BYTES * len(config.probe_points))
@@ -157,7 +161,9 @@ def validate(params: PhysicalParams, config: SimulationConfig,
     """
     for key, attr in PARAM_KEYS.items():
         value = getattr(params, attr)
-        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        if not isinstance(value, (int, float)):
+            raise ConfigError(f"parameter '{key}' must be an int or a float (got {value!r})")
+        if not (math.isfinite(value) and value > 0):
             raise ConfigError(f"parameter '{key}' must be strictly positive (got {value!r})")
 
     element_count(config.M)
@@ -173,7 +179,11 @@ def validate(params: PhysicalParams, config: SimulationConfig,
         raise ConfigError(
             f"T = {config.T} is not within one dt of a whole number of steps of {config.dt}")
 
-    if config.snapshot_stride < 1:
+    stride = _integer(config.snapshot_stride)
+    if stride is None:
+        raise ConfigError("parameter 'snapshot_stride' must be an integer "
+                          f"(got {config.snapshot_stride!r})")
+    if stride < 1:
         raise ConfigError("parameter 'snapshot_stride' must be strictly positive "
                           f"(got {config.snapshot_stride!r})")
 

@@ -40,14 +40,15 @@ Each operator is stored as one stencil, the transposed sub-, main- and
 super-diagonal blocks stacked (24x4 for R, 12x4 for A), and applied as a
 single product with the view whose row for interior node i holds nodes
 i-1, i and i+1 (`_windows`; one copy per state, `State.windows`, serves
-its energy and the next step).  A is also assembled once in band storage —
+its energy and the next step).  D A, D scaling the xi, Phi and vartheta
+rows of A down by a power of two, is assembled once in band storage —
 band width 6 on either side — and LU-factorized once per (params, mesh,
-dt) by LAPACK's dgbtrf.  When dgbtrf made no row interchanges, each step
-is solved by two bare triangular sweeps over L and U (the bits of dgbtrs
-in less time).  When it made some, D A is factorized too, D scaling the
-psi rows by a power of two; if that makes none, the sweeps run over
-D^-1 L and U, which gives the bits of A's own no-interchange LU, and
-otherwise each step is solved by dgbtrs.  Only the factors hold the scale.
+dt) by LAPACK's dgbtrf; the scale spares it the row interchanges A itself
+needs on most coarser meshes.  When dgbtrf made none, each step is solved
+by two bare triangular sweeps over D^-1 L and U: the bits of A's own
+no-interchange LU (a power of two scales exactly) in less time than
+dgbtrs.  When it made some, dgbtrs solves D A x = D rhs.  Only the
+factors and that rhs hold the scale.
 dgbtrf and dgbtrs come from scipy's LAPACK extension, reached through
 `_lapack`, which loads it without importing the rest of scipy.  Each solve
 must pass a backward-error test against the stencil of A (`RESIDUAL_TOL`).
@@ -88,9 +89,9 @@ _DISPLACEMENTS = np.diag([0.0] * 4 + [1.0] * 4)
 # not grow with M or 1/dt.
 RESIDUAL_TOL = 1e-12
 
-# Scale of the psi rows in the second factorization `BlockSystem` tries
-# when the step matrix's own makes row interchanges: on most meshes and
-# time steps it makes none.
+# Weight of the psi rows against the other rows of the matrix D A that
+# `BlockSystem` factorizes: D divides the xi, Phi and vartheta rows by it.
+# Scaling down cannot overflow.
 _PSI_SCALE = 2.0 ** 6
 
 
@@ -263,28 +264,17 @@ class BlockSystem:
         # Maps the new unknowns x to (x, dt*x) in the state's columns.
         self._update = np.hstack([np.eye(4), self.dt * np.eye(4)])
 
-        ab = _band(self._A, n)
+        # D A = P L U; row class i of A is scaled by d[i].
+        d = [1.0 / _PSI_SCALE] * 4
+        d[_PSI] = 1.0
+        ab = _band(self._A * d, n)
         lu, piv, info = lapack.dgbtrf(ab, _KL, _KU)
         if info > 0:
             raise SolverFailure(f"zero pivot at position {info} during factorization")
         if info < 0:
             raise SolverFailure(f"banded factorization rejected argument {-info}")
-        pivot_free, scale = _no_interchanges(piv), 1.0
-        if not pivot_free:
-            # D A = L U, with D scaling the psi rows by _PSI_SCALE, often
-            # needs no interchanges.  A power of two scales exactly, so
-            # these factors solve A x = rhs to the bits of A's own
-            # no-interchange LU.  A scaled row that overflows is not tried.
-            scaled = self._A.copy()
-            with np.errstate(over="ignore"):
-                scaled[:, _PSI] *= _PSI_SCALE
-            if np.isfinite(scaled).all():
-                ab = _band(scaled, n)
-                lu_s, piv_s, info = lapack.dgbtrf(ab, _KL, _KU)
-                if info == 0 and _no_interchanges(piv_s):
-                    lu, piv, pivot_free, scale = lu_s, piv_s, True, _PSI_SCALE
-        self._lu, self._piv = lu, piv
-        if pivot_free:
+        self._lu, self._piv, self._d = lu, piv, np.array(d)
+        if _no_interchanges(piv):
             # No interchanges, so no fill-in: U is an upper band of _KU
             # superdiagonals, and so is L, unit-diagonal, with the unknowns
             # reversed.  dgbtrs with kl = 0 solves each by one sweep (kl = 6
@@ -296,13 +286,13 @@ class BlockSystem:
             packed = ab.reshape(-1)[:2 * k * m].reshape(k, -1, order="F")
             packed[:, :m], packed[:, m:] = lu[_KL:_KL + k], lu[_KL + _KU:][::-1, ::-1]
             packed[_KU, m:] = 1.0
-            if scale != 1.0:
-                # The forward sweep solves with D^-1 L: each psi row of L,
-                # its diagonal included, divided by the scale.  Entry
-                # (i, i - d) of L lies in row _KU - d, column m - 1 - i + d
-                # of the reversed band, and m is a multiple of 4.
-                for d in range(_KL + 1):
-                    packed[_KU - d, m + (3 - _PSI + d) % 4::4] /= scale
+            # The forward sweep solves with D^-1 L: row i of L, its
+            # diagonal included, divided by d[i % 4].  Entry (i, i - j) of
+            # L lies in row _KU - j, column m - 1 - i + j of the reversed
+            # band, and m is a multiple of 4, so along the column-major
+            # band the row class repeats every 4 columns of k entries.
+            lower = packed.T[m:].reshape(-1, 4 * k)
+            lower /= [d[(_KU - 1 - c - r) % 4] for c in range(4) for r in range(k)]
             self._upper, self._lower = packed[:, :m], packed[:, m:]
             self._lu = None
 
@@ -318,7 +308,8 @@ class BlockSystem:
             if info == 0:
                 x, info = lapack.dgbtrs(self._upper, 0, _KU, y[::-1], self._piv)
         else:
-            x, info = lapack.dgbtrs(self._lu, _KL, _KU, rhs, self._piv)
+            x, info = lapack.dgbtrs(self._lu, _KL, _KU,
+                                    (rhs.reshape(-1, 4) * self._d).ravel(), self._piv)
         if info != 0:
             raise SolverFailure(f"banded back-substitution failed (info={info})")
         return x
@@ -462,9 +453,3 @@ class SnapshotRecorder:
             self.nodes = state.mesh.nodes.tolist()
         self.times.append(state.t)
         self.fields.append(state._s[:, _OUTPUT])
-
-    def rows(self):
-        """(x, t, u, phi, psi, w) rows, time-major then node-major."""
-        for t, fields in zip(self.times, self.fields):
-            for x, f in zip(self.nodes, fields.tolist()):
-                yield (x, t, *f)

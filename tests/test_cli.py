@@ -83,10 +83,11 @@ class TestWriteCsv:
                     observers=(snap,))
         header = "x,t,u,phi,psi,w"
         cli.write_csv(tmp_path / "text.csv", header, cli._snapshot_rows(snap))
-        cli.write_csv(tmp_path / "rows.csv", header, snap.rows())
-        text = (tmp_path / "text.csv").read_bytes()
-        assert text == (tmp_path / "rows.csv").read_bytes()
-        assert text.count(b"\n") == 1 + 4 * 10  # snapshots at n = 0, 2, 4, 5
+        rows = [(x, t, *f) for t, fields in zip(snap.times, snap.fields)
+                for x, f in zip(snap.nodes, fields.tolist())]
+        assert len(rows) == 4 * 10  # snapshots at n = 0, 2, 4, 5
+        expected = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+        assert (tmp_path / "text.csv").read_bytes() == (header + "\n" + expected).encode()
 
     def test_never_sets_the_umask(self, tmp_path, monkeypatch):
         # the mask is process-wide; open() applies it without changing it

@@ -121,6 +121,24 @@ class TestValidate:
                            match=r"parameter 'snapshot_stride' must be strictly positive \(got 0\)"):
             validate(baseline_params(), good_config(snapshot_stride=0))
 
+    @pytest.mark.parametrize("stride", [1.5, 2.5, 2.0, True, "2"])
+    def test_non_integer_snapshot_stride_rejected(self, stride):
+        # the rule of element_count, with a floor of 1
+        config = good_config(M=10 ** 6, dt=1e-6, T=1.0, snapshot_stride=stride)
+        with pytest.raises(ConfigError,
+                           match=r"parameter 'snapshot_stride' must be an integer \(got "):
+            validate(baseline_params(), config)
+
+    def test_numpy_integer_snapshot_stride_accepted(self):
+        validate(baseline_params(), good_config(snapshot_stride=np.int64(20)))
+
+    @pytest.mark.parametrize("bad", [np.int64(2), "2", None])
+    def test_parameter_of_another_type_is_named_as_such(self, bad):
+        params = dataclasses.replace(baseline_params(), rho=bad)
+        with pytest.raises(ConfigError,
+                           match=r"parameter 'rho' must be an int or a float \(got "):
+            validate(params, good_config())
+
     # validate allocates nothing, so these sizes are safe to test.
     @pytest.mark.parametrize("kw", [dict(M=10 ** 9), dict(M=10 ** 17), dict(T=1e12),
                                     dict(M=np.int64(2 ** 62))],

@@ -1,4 +1,5 @@
 import dataclasses
+import types
 import warnings
 
 import numpy as np
@@ -284,7 +285,7 @@ class TestWindowCopy:
 # (M, dt) of the fine-mesh run and of the convergence study's M=320 level,
 # where dgbtrf makes no row interchanges on the step matrix itself; of the
 # baseline and of the study's levels M=160, 80 and 40, where it makes some
-# but none once the psi rows are scaled; and of coarse meshes at large dt,
+# but none on the row-scaled matrix D A; and of coarse meshes at large dt,
 # where it makes some either way.
 PIVOT_FREE = [(1280, 0.001), (320, 1.25e-4)]
 SCALED = [(100, 0.005), (160, 2.5e-4), (80, 5e-4), (40, 1e-3)]
@@ -320,9 +321,22 @@ class TestSolve:
         system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
         assert (system._lu is None) is pivot_free
 
+    @pytest.mark.parametrize("M, dt", PIVOT_FREE + SCALED + PIVOTED)
+    def test_one_factorization(self, monkeypatch, M, dt):
+        calls = []
+
+        def dgbtrf(*args):
+            calls.append(args)
+            return lapack.dgbtrf(*args)
+
+        proxy = types.SimpleNamespace(dgbtrf=dgbtrf, dgbtrs=lapack.dgbtrs)
+        monkeypatch.setattr(stepper, "lapack", proxy)
+        assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("M, dt", SCALED + PIVOTED)
     def test_step_matrix_itself_needs_interchanges(self, M, dt):
-        # so SCALED and PIVOTED cover the second factorization
+        # so SCALED and PIVOTED cover meshes where the row scale matters
         system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
         _, piv = factorize(system._A, M - 1)
         assert not stepper._no_interchanges(piv)
@@ -362,18 +376,17 @@ class TestSolve:
         # advance reads the right-hand side again for its residual check
         assert rhs.tobytes() == before.tobytes()
 
-    def test_scale_that_overflows_keeps_dgbtrs(self):
-        # b*Stiffness is finite, 64 times it is not: no warning, and the
-        # step is solved through A's own pivoted factors
+    def test_psi_rows_near_overflow_are_solved(self):
+        # b*Stiffness is finite, 64 times it is not: the scale divides the
+        # other rows instead, so no warning and no overflow
         params = dataclasses.replace(PARAMS, b=1e306, K=1e-3)
         system = assemble(params, UniformMesh(8, 1.0), 1.0)
-        assert system._lu is not None
         x = np.zeros((9, 4))
         x[1:-1] = np.random.default_rng(8).normal(size=(7, 4))
         assert_allclose(system.solve(system.matvec(x).ravel()), x[1:-1].ravel(),
                         rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("M, dt", SCALED)
+    @pytest.mark.parametrize("M, dt", SCALED + PIVOTED)
     def test_operators_stay_unscaled(self, M, dt):
         # the stencil, its norm and so the residual check are the step
         # matrix's own: the psi rows are b*Stiffness + K*Mass and K*dt*Gradient
@@ -388,7 +401,7 @@ class TestSolve:
                             atol=1e-13 * np.abs(expected).max())
         assert system._A_norm == np.abs(A).sum(axis=1).max()
 
-    @pytest.mark.parametrize("M, dt", SCALED)
+    @pytest.mark.parametrize("M, dt", SCALED + PIVOTED)
     def test_scaled_step_matches_dense_oracle(self, M, dt):
         mesh = UniformMesh(M, PARAMS.L)
         rng = np.random.default_rng(M)
@@ -439,24 +452,26 @@ class TestRun:
         assert calls == list(range(11))
         # snapshots at n = 0, 4, 8 and the forced final step 10
         assert snap.times == pytest.approx([0.0, 0.4, 0.8, 1.0])
-        rows = list(snap.rows())
-        assert len(rows) == 4 * (config.M + 1)
-        x0, t0, *fields = rows[0]
-        assert (x0, t0) == (0.0, 0.0) and fields[0] == 0.0
+        assert snap.nodes == UniformMesh(config.M, PARAMS.L).nodes.tolist()
+        assert [f.shape for f in snap.fields] == [(config.M + 1, 4)] * 4
+        assert snap.fields[0][0, 0] == 0.0  # u at x = 0
 
     def test_snapshot_rows_match_field_views(self):
         mesh = UniformMesh(7, 1.0)
         system = assemble(PARAMS, mesh, 0.01)
         snap = SnapshotRecorder(stride=1)
         state = random_state(mesh, np.random.default_rng(5))
-        expected = []
+        times, fields = [], []
         for _ in range(3):
             snap(state)
-            fields = [np.pad(getattr(state, k), 1) for k in ("u", "phi", "psi", "w")]
-            expected += [(x, state.t, *(f[i] for f in fields))
-                         for i, x in enumerate(mesh.nodes)]
+            times.append(state.t)
+            fields.append(np.column_stack(
+                [np.pad(getattr(state, k), 1) for k in ("u", "phi", "psi", "w")]))
             state = advance(system, state)
-        assert list(snap.rows()) == expected
+        assert snap.nodes == mesh.nodes.tolist()
+        assert snap.times == times
+        for got, expected in zip(snap.fields, fields, strict=True):
+            assert got.tobytes() == expected.tobytes()
 
     def test_failure_reports_step_index(self, monkeypatch):
         config = SimulationConfig(M=10, dt=0.1, T=1.0)
