@@ -8,9 +8,10 @@ Subcommands:
     energy       fit an exponential decay rate to a recorded energy CSV
     eta-check    verify the elliptic offset solver on manufactured cases
 
-All CSV files are written atomically (temp file + rename) with a fixed
-17-significant-digit float format, so repeated runs with identical inputs
-produce byte-identical outputs.
+All CSV files are written atomically (temp file + rename), one `%` line
+per file built from its first row, with a fixed 17-significant-digit float
+format, so repeated runs with identical inputs produce byte-identical
+outputs.
 Exit codes: 0 success, 2 configuration error (a run too large for memory
 included), 3 I/O error, 4 solver failure.
 """
@@ -18,7 +19,6 @@ included), 3 I/O error, 4 solver failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -47,32 +47,28 @@ def _fmt(value) -> str:
 
 
 def write_csv(path: Path, header: str, rows) -> None:
-    """Stream `header` and one formatted line per row into a temp file in
-    the target directory, then rename it over `path`: readers see the old
-    file or the whole new one, never a partial write.  A row is formatted
-    in one `%` step, which gives the text of `_fmt` per value: `%.17g`
-    per cell, or `%s` where the first row holds text (cells the caller
-    formatted once, as `_snapshot_rows` does); a row that `%` rejects goes
-    through `_fmt`.  The temp file gets `open()`'s mode and never replaces
-    an existing file."""
+    """Stream `header` and one line per row into a temp file in the target
+    directory, then rename it over `path`: readers see the old file or the
+    whole new one, never a partial write.  Each row is a tuple shaped like
+    the first and is formatted in one `%` step by the line built from it:
+    `%.17g` (`_fmt`'s text) per number, `%s` where the first row holds text
+    (cells formatted once by the caller, as `_snapshot_rows` does).  A row
+    of another shape raises TypeError and leaves no file.  The temp file
+    gets `open()`'s mode and never replaces an existing file."""
     rows = iter(rows)
     first = next(rows, None)
-    if first is not None:
-        line = ",".join("%s" if isinstance(c, str) else "%.17g" for c in first) + "\n"
-        rows = itertools.chain((first,), rows)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
     handle = open(tmp, "x")  # outside the try: a name in use is not ours to unlink
     try:
         with handle:
             handle.write(header + "\n")
-            for row in rows:
-                try:
-                    text = line % row
-                except TypeError:  # a None cell, or a row of another width
-                    text = ",".join(c if isinstance(c, str) else _fmt(c)
-                                    for c in row) + "\n"
-                handle.write(text)
+            if first is not None:
+                line = ",".join("%s" if isinstance(c, str) else "%.17g"
+                                for c in first) + "\n"
+                handle.write(line % first)
+                for row in rows:
+                    handle.write(line % row)
         try:
             os.replace(tmp, path)
         except OSError as exc:  # name the target, not the random temp file
@@ -259,14 +255,17 @@ def _cmd_convergence(args) -> int:
     rows = mms.convergence_table(case, levels, args.T)
 
     out = Path(_resolve_output_dir(args, "."))
-    table = [(r.M, r.dt, r.error, r.ratio, r.observed_order) for r in rows]
-    write_csv(out / "convergence.csv", "M,dt,error,ratio,order", table)
+    # Formatted once, for the CSV and stdout; _fmt(None) is "".
+    header = "M,dt,error,ratio,order"
+    table = [tuple(map(_fmt, (r.M, r.dt, r.error, r.ratio, r.observed_order)))
+             for r in rows]
+    write_csv(out / "convergence.csv", header, table)
     write_csv(out / "error_vs_h_plus_dt.csv", "h_plus_dt,error",
               [(params.L / r.M + r.dt, r.error) for r in rows])
 
-    print("M,dt,error,ratio,order")
+    print(header)
     for row in table:
-        print(",".join(_fmt(v) for v in row))
+        print(",".join(row))
     if len(rows) >= 2:
         print(f"least-squares order vs h+dt: "
               f"{_fmt(mms.observed_order_slope(rows, params.L))}")
@@ -285,14 +284,14 @@ def _cmd_energy(args) -> int:
         lo, hi = float(series.t[-1]) / 2.0, float(series.t[-1])
     summary = energy_mod.fit_decay(series, (lo, hi))
 
-    lines = [f"fit_window = [{_fmt(lo)}, {_fmt(hi)}]",
-             f"sigma1_hat = {_fmt(summary.sigma1_hat)}",
-             f"sigma0_hat = {_fmt(summary.sigma0_hat)}",
-             f"fit_residual = {_fmt(summary.fit_residual)}"]
+    # Formatted once, for stdout and for the --out row.
+    report = tuple(map(_fmt, (lo, hi, summary.sigma1_hat, summary.sigma0_hat,
+                              summary.fit_residual)))
+    lines = ["fit_window = [%s, %s]\nsigma1_hat = %s\nsigma0_hat = %s\n"
+             "fit_residual = %s" % report]
     if args.out:  # written first: a failed write prints no report
         write_csv(Path(args.out), "window_lo,window_hi,sigma1_hat,sigma0_hat,fit_residual",
-                  [(lo, hi, summary.sigma1_hat, summary.sigma0_hat,
-                    summary.fit_residual)])
+                  [report])
         lines.append(f"wrote {args.out}")
     print("\n".join(lines))
     return 0

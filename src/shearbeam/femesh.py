@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ConfigError, element_count
+from .model import ConfigError, element_count, real_number
 
 # 3-point Gauss-Legendre rule mapped to the reference element [0, 1].
 _GAUSS_S = 0.5 + 0.5 * np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
@@ -49,7 +49,7 @@ class UniformMesh:
 
     def __init__(self, M: int, L: float = 1.0):
         self.M = element_count(M)
-        self.L = float(L)
+        self.L = real_number("L", L)
         self.h = self.L / self.M
         if not self.h > 0.0:
             raise ConfigError(f"element width L/M = {self.L!r}/{self.M} is not positive")

@@ -119,6 +119,17 @@ def _integer(value) -> int | None:
         return None
 
 
+def real_number(name: str, value) -> float:
+    """float(value) of an int (bool excluded) or a float; raises ConfigError
+    naming `name` for any other type and for an int beyond double range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be an int or a float (got {value!r})")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} is an int beyond double range") from None
+
+
 def element_count(M) -> int:
     """M as an int; raises ConfigError unless it is an integer >= 2."""
     count = _integer(M)
@@ -128,9 +139,9 @@ def element_count(M) -> int:
 
 
 def num_steps(config: SimulationConfig) -> int:
-    """Number of implicit steps: round(T/dt).  The run reports results at
-    N*dt, which by validation lies within one dt of the requested T."""
-    return int(round(config.T / config.dt))
+    """Number of implicit steps: round(T/dt), in floats.  The run reports
+    results at N*dt, which by validation lies within one dt of T."""
+    return int(round(float(config.T) / float(config.dt)))
 
 
 def run_bytes(config: SimulationConfig, recorded: bool = True) -> int:
@@ -161,21 +172,21 @@ def validate(params: PhysicalParams, config: SimulationConfig,
     """
     for key, attr in PARAM_KEYS.items():
         value = getattr(params, attr)
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"parameter '{key}' must be an int or a float (got {value!r})")
-        if not (math.isfinite(value) and value > 0):
+        real = real_number(f"parameter '{key}'", value)
+        if not (math.isfinite(real) and real > 0):
             raise ConfigError(f"parameter '{key}' must be strictly positive (got {value!r})")
 
     element_count(config.M)
 
-    if not (math.isfinite(config.dt) and config.dt > 0):
+    dt, T = real_number("dt", config.dt), real_number("T", config.T)
+    if not (math.isfinite(dt) and dt > 0):
         raise ConfigError(f"dt must be > 0 (got {config.dt!r})")
-    if not (math.isfinite(config.T) and config.T > 0):
+    if not (math.isfinite(T) and T > 0):
         raise ConfigError(f"T must be > 0 (got {config.T!r})")
-    if not math.isfinite(config.T / config.dt):
+    if not math.isfinite(T / dt):
         raise ConfigError(f"T/dt is not finite (T={config.T!r}, dt={config.dt!r})")
     n = num_steps(config)
-    if n < 1 or abs(n * config.dt - config.T) > config.dt:
+    if n < 1 or abs(n * dt - T) > dt:
         raise ConfigError(
             f"T = {config.T} is not within one dt of a whole number of steps of {config.dt}")
 
@@ -187,10 +198,12 @@ def validate(params: PhysicalParams, config: SimulationConfig,
         raise ConfigError("parameter 'snapshot_stride' must be strictly positive "
                           f"(got {config.snapshot_stride!r})")
 
-    for i, x in enumerate(config.probe_points):
-        if not (0.0 < x < params.L):
-            raise ConfigError(f"probe point {x} outside (0, {params.L})")
-        if x in config.probe_points[:i]:
+    L = float(params.L)
+    probes = [real_number("probe point", x) for x in config.probe_points]
+    for i, x in enumerate(probes):
+        if not (0.0 < x < L):
+            raise ConfigError(f"probe point {x} outside (0, {L})")
+        if x in probes[:i]:
             raise ConfigError(f"probe point {x} given twice")
 
     check_run_bytes(run_bytes(config, recorded), f"M={config.M} and {n} steps")

@@ -164,6 +164,23 @@ class TestInterpolation:
         assert type(mesh.M) is int and mesh.M == 8
         assert mesh.nodes.tobytes() == UniformMesh(8, 1.0).nodes.tobytes()
 
+    @pytest.mark.parametrize("L", ["1", True, np.float32(1.0)],
+                             ids=["str", "bool", "float32"])
+    def test_non_real_length_rejected(self, L):
+        # the rule `model.validate` applies to a run's L
+        with pytest.raises(ConfigError,
+                           match=rf"L must be an int or a float \(got {re.escape(repr(L))}\)"):
+            UniformMesh(10, L)
+
+    def test_length_beyond_double_range_rejected(self):
+        with pytest.raises(ConfigError, match="L is an int beyond double range"):
+            UniformMesh(10, 10 ** 400)
+
+    def test_integer_length_accepted(self):
+        mesh = UniformMesh(10, 2)
+        assert type(mesh.L) is float
+        assert mesh.nodes.tobytes() == UniformMesh(10, 2.0).nodes.tobytes()
+
     def test_mesh_beyond_array_limit_rejected(self):
         # numpy refuses the node array before it allocates anything.
         with pytest.raises(ConfigError, match=r"M=2000000000000000000 is too large"):

@@ -24,6 +24,24 @@ def good_config(**kw):
     return SimulationConfig(**base)
 
 
+def real_fields(probe=0.5, **kw):
+    """Baseline params and a small config, with `kw` replacing the params
+    and config fields it names and `probe` the one probe point."""
+    params = baseline_params()
+    config = dict(M=10, dt=0.1, T=1.0, probe_points=(probe,))
+    config.update((k, v) for k, v in kw.items() if not hasattr(params, k))
+    params = dataclasses.replace(params, **{k: v for k, v in kw.items()
+                                            if hasattr(params, k)})
+    return params, good_config(**config)
+
+
+def field_name(field):
+    """How validate names a `real_fields` field in its messages."""
+    if field == "probe":
+        return "probe point"
+    return f"parameter '{field}'" if hasattr(baseline_params(), field) else field
+
+
 class TestValidate:
     def test_baseline_accepted_and_idempotent(self):
         params, config = baseline_params(), good_config()
@@ -138,6 +156,39 @@ class TestValidate:
         with pytest.raises(ConfigError,
                            match=r"parameter 'rho' must be an int or a float \(got "):
             validate(params, good_config())
+
+    @pytest.mark.parametrize("field", ["rho", "L", "dt", "T", "probe"])
+    @pytest.mark.parametrize("bad", [True, "0.5", None, np.float32(0.5)],
+                             ids=["bool", "str", "None", "float32"])
+    def test_one_real_number_rule(self, field, bad):
+        # an int (bool excluded) or a float, for every parameter, dt, T and
+        # probe point alike
+        with pytest.raises(ConfigError, match=rf"^{field_name(field)} must be "
+                                              r"an int or a float \(got "):
+            validate(*real_fields(**{field: bad}))
+
+    @pytest.mark.parametrize("field", ["rho", "kappa", "dt", "T", "probe"])
+    def test_int_beyond_double_range_is_named(self, field):
+        with pytest.raises(ConfigError,
+                           match=rf"^{field_name(field)} is an int beyond double range$"):
+            validate(*real_fields(**{field: 10 ** 400}))
+
+    def test_ints_run_like_floats(self):
+        params, config = real_fields(rho=1, dt=1, T=3, L=2, probe=1)
+        validate(params, config)
+        assert model.num_steps(config) == 3
+        floats = dataclasses.replace(config, dt=1.0, T=3.0, probe_points=(1.0,))
+        runs = [stepper.run(dataclasses.replace(params, rho=rho, L=L), c,
+                            sine_initial_data(2.0))
+                for rho, L, c in ((1, 2, config), (1.0, 2.0, floats))]
+        assert runs[0]._s.tobytes() == runs[1]._s.tobytes()
+
+    def test_true_dt_is_not_a_one_second_step(self):
+        # bool is an int subclass, but True is no time step
+        with pytest.raises(ConfigError, match="dt must be an int or a float"):
+            stepper.run(baseline_params(), good_config(M=4, dt=True, T=2.0,
+                                                       probe_points=()),
+                        sine_initial_data(1.0))
 
     # validate allocates nothing, so these sizes are safe to test.
     @pytest.mark.parametrize("kw", [dict(M=10 ** 9), dict(M=10 ** 17), dict(T=1e12),
