@@ -91,11 +91,14 @@ def fit_decay(series: EnergySeries, window: tuple[float, float]) -> DecaySummary
     """Least-squares affine fit of log E against t over a time window.
 
     Uses the samples with window[0] <= t <= window[1] and E > 0; raises
-    ConfigError when fewer than 3 remain.
+    ConfigError for a window without window[0] < window[1] and when fewer
+    than 3 samples remain.
     """
+    lo, hi = window
+    if not lo < hi:
+        raise ConfigError(f"window [{lo}, {hi}] is empty: its start is not below its end")
     t = np.asarray(series.t, dtype=float)
     E = np.asarray(series.E, dtype=float)
-    lo, hi = window
     keep = (t >= lo) & (t <= hi) & (E > 0.0)
     if keep.sum() < 3:
         raise ConfigError(

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import ConfigError, element_count, real_number
+from .model import ConfigError, element_count, positive_real
 
 # 3-point Gauss-Legendre rule mapped to the reference element [0, 1].
 _GAUSS_S = 0.5 + 0.5 * np.array([-np.sqrt(0.6), 0.0, np.sqrt(0.6)])
@@ -45,11 +45,12 @@ ENDPOINT_RTOL = 1e-9
 
 
 class UniformMesh:
-    """Uniform partition of [0, L] into M elements of width h = L/M."""
+    """Uniform partition of [0, L] into M elements of width h = L/M > 0, for
+    M an integer >= 2 and L finite and > 0; ConfigError otherwise."""
 
     def __init__(self, M: int, L: float = 1.0):
         self.M = element_count(M)
-        self.L = real_number("L", L)
+        self.L = positive_real("L", L)
         self.h = self.L / self.M
         if not self.h > 0.0:
             raise ConfigError(f"element width L/M = {self.L!r}/{self.M} is not positive")

@@ -110,32 +110,35 @@ _ENERGY_ROW_BYTES = 104
 _PROBE_ROW_BYTES = 184
 
 
-def _integer(value) -> int | None:
-    """value as an int, or None if it is no integer: any integer type counts
-    (numpy's too) but bool, and a float is none, whatever its value."""
-    try:
-        return None if isinstance(value, bool) else operator.index(value)
-    except TypeError:
-        return None
-
-
-def real_number(name: str, value) -> float:
-    """float(value) of an int (bool excluded) or a float; raises ConfigError
-    naming `name` for any other type and for an int beyond double range."""
+def positive_real(name: str, value) -> float:
+    """float(value) for an int (bool excluded) or a float that is finite and
+    > 0; any other value raises ConfigError naming `name`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be an int or a float (got {value!r})")
     try:
-        return float(value)
+        real = float(value)
     except OverflowError:
         raise ConfigError(f"{name} is an int beyond double range") from None
+    if not 0.0 < real < math.inf:
+        raise ConfigError(f"{name} must be strictly positive and finite (got {value!r})")
+    return real
+
+
+def whole_number(name: str, value, least: int) -> int:
+    """value as an int >= least, of any integer type (numpy's too) but bool;
+    any other value, a float included, raises ConfigError naming `name`."""
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < least:
+        raise ConfigError(f"{name} must be an integer >= {least} (got {value!r})")
+    return count
 
 
 def element_count(M) -> int:
     """M as an int; raises ConfigError unless it is an integer >= 2."""
-    count = _integer(M)
-    if count is None or count < 2:
-        raise ConfigError(f"M must be an integer >= 2 (got {M!r})")
-    return count
+    return whole_number("M", M, 2)
 
 
 def num_steps(config: SimulationConfig) -> int:
@@ -171,37 +174,24 @@ def validate(params: PhysicalParams, config: SimulationConfig,
     recorded)` exceeds MAX_RUN_BYTES.
     """
     for key, attr in PARAM_KEYS.items():
-        value = getattr(params, attr)
-        real = real_number(f"parameter '{key}'", value)
-        if not (math.isfinite(real) and real > 0):
-            raise ConfigError(f"parameter '{key}' must be strictly positive (got {value!r})")
+        positive_real(f"parameter '{key}'", getattr(params, attr))
 
     element_count(config.M)
 
-    dt, T = real_number("dt", config.dt), real_number("T", config.T)
-    if not (math.isfinite(dt) and dt > 0):
-        raise ConfigError(f"dt must be > 0 (got {config.dt!r})")
-    if not (math.isfinite(T) and T > 0):
-        raise ConfigError(f"T must be > 0 (got {config.T!r})")
-    if not math.isfinite(T / dt):
+    dt, T = positive_real("dt", config.dt), positive_real("T", config.T)
+    if T / dt == math.inf:
         raise ConfigError(f"T/dt is not finite (T={config.T!r}, dt={config.dt!r})")
     n = num_steps(config)
     if n < 1 or abs(n * dt - T) > dt:
         raise ConfigError(
             f"T = {config.T} is not within one dt of a whole number of steps of {config.dt}")
 
-    stride = _integer(config.snapshot_stride)
-    if stride is None:
-        raise ConfigError("parameter 'snapshot_stride' must be an integer "
-                          f"(got {config.snapshot_stride!r})")
-    if stride < 1:
-        raise ConfigError("parameter 'snapshot_stride' must be strictly positive "
-                          f"(got {config.snapshot_stride!r})")
+    whole_number("snapshot_stride", config.snapshot_stride, 1)
 
     L = float(params.L)
-    probes = [real_number("probe point", x) for x in config.probe_points]
+    probes = [positive_real("probe point", x) for x in config.probe_points]
     for i, x in enumerate(probes):
-        if not (0.0 < x < L):
+        if x >= L:
             raise ConfigError(f"probe point {x} outside (0, {L})")
         if x in probes[:i]:
             raise ConfigError(f"probe point {x} given twice")

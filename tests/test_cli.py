@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -400,11 +401,19 @@ class TestErrorPaths:
          r"key 'levels': cannot parse '10{400}' as a 64-bit integer"),
         (["simulate", "--M", str(2 ** 63 - 1), "--dt", "2.2250738585072014e-308"],
          r"run too large: M=9223372036854775807 and \d+ steps would hold about inf GiB, "
-         r"above the 8 GiB cap")],
+         r"above the 8 GiB cap"),
+        # one message for every number that is not strictly positive and finite
+        (["simulate", "--rho", "inf"],
+         r"parameter 'rho' must be strictly positive and finite \(got inf\)"),
+        (["simulate", "--L", "inf"],
+         r"parameter 'L' must be strictly positive and finite \(got inf\)"),
+        (["simulate", "--dt", "inf"], r"dt must be strictly positive and finite \(got inf\)"),
+        (["simulate", "--T", "nan"], r"T must be strictly positive and finite \(got nan\)")],
         ids=["composite-error", "composite-error-first-level", "steps-4e299",
              "steps-4e11", "levels-0", "levels-0-4", "sources-K", "sources-b",
              "sources-beta", "operator-norm", "L-subnormal", "M-1e400", "levels-1e400",
-             "eta-levels-1e400", "bytes-beyond-double"])
+             "eta-levels-1e400", "bytes-beyond-double", "rho-inf", "L-inf", "dt-inf",
+             "T-nan"])
     def test_reproducer_is_one_line_and_writes_nothing(self, tmp_path, capsys,
                                                        argv, message):
         if argv[0] == "simulate":
@@ -417,6 +426,35 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(f"ConfigError: {message}\n", captured.err)
+        assert not (tmp_path / "out").exists()
+
+    # Each value the two number rules (or the probe checks) reject, also
+    # those only a library caller can pass: set on the parsed config.
+    @pytest.mark.parametrize("field, value", [
+        *((key, bad) for key in model.PARAM_KEYS.values()
+          for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, True, "1", 10 ** 400)),
+        *(("M", bad) for bad in (1, 1.5, True)),
+        *((key, bad) for key in ("dt", "T") for bad in (0.0, math.nan, math.inf)),
+        *(("snapshot_stride", bad) for bad in (0, 1.5, True)),
+        *(("probe_points", (bad,)) for bad in (0.0, -0.2, 1.0, math.nan)),
+        ("probe_points", (0.6, 0.3, 0.6))])
+    def test_every_rejected_value_is_exit_2(self, tmp_path, capsys, monkeypatch,
+                                            field, value):
+        parse = model.parse_config
+
+        def parse_with_value(*args):
+            params, config = parse(*args)
+            if hasattr(params, field):
+                return dataclasses.replace(params, **{field: value}), config
+            return params, dataclasses.replace(config, **{field: value})
+
+        monkeypatch.setattr(model, "parse_config", parse_with_value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(tiny_config(tmp_path))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ConfigError:") and captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags", [
@@ -535,6 +573,18 @@ class TestEnergyCommand:
         path.write_text("n,t,E,logE,negLogEOverT\n" + rows + "\n")
         assert main(["energy", "--input", str(path), "--window", "1,3"]) == 0
         assert "fit_window = [1, 3]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("window, shown", [("3,1", "3.0, 1.0"), ("nan,1", "nan, 1.0")])
+    def test_empty_window_is_named(self, tmp_path, capsys, window, shown):
+        t = np.linspace(0.0, 4.0, 101)
+        rows = "\n".join(f"{i},{ti},{np.exp(-ti)},0,0" for i, ti in enumerate(t))
+        path = tmp_path / "energy.csv"
+        path.write_text("n,t,E,logE,negLogEOverT\n" + rows + "\n")
+        assert main(["energy", "--input", str(path), "--window", window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"ConfigError: window [{shown}] is empty: "
+                                "its start is not below its end\n")
 
     def test_byte_order_mark_ignored(self, tmp_path, capsys):
         t = np.linspace(0.0, 4.0, 101)

@@ -213,6 +213,15 @@ class TestFitDecay:
                            match=r"window \[0\.0, 1\.0\] holds 2 positive samples; need >= 3"):
             fit_decay(EnergySeries(t, E), (0.0, 1.0))
 
+    @pytest.mark.parametrize("window", [(3.0, 1.0), (0.5, 0.5), (np.nan, 1.0),
+                                        (0.0, np.nan)],
+                             ids=["reversed", "point", "nan-start", "nan-end"])
+    def test_window_without_start_below_end_is_empty(self, window):
+        t = np.linspace(0.0, 4.0, 41)
+        with pytest.raises(ConfigError, match=r"^window \[.*\] is empty: its start "
+                                              r"is not below its end$"):
+            fit_decay(EnergySeries(t, np.exp(-t)), window)
+
 
 class TestSpectralRate:
     """The step is linear and time-invariant: its energy decays at the

@@ -1,4 +1,5 @@
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -175,6 +176,15 @@ class TestInterpolation:
     def test_length_beyond_double_range_rejected(self):
         with pytest.raises(ConfigError, match="L is an int beyond double range"):
             UniformMesh(10, 10 ** 400)
+
+    @pytest.mark.parametrize("L", [np.inf, np.nan, -np.inf, 0.0, -1.0])
+    def test_length_not_positive_and_finite_rejected(self, L):
+        # an infinite L passes the h > 0 check, and its nodes would be NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^L must be strictly positive "
+                                                  rf"and finite \(got {L!r}\)$"):
+                UniformMesh(10, L)
 
     def test_integer_length_accepted(self):
         mesh = UniformMesh(10, 2)

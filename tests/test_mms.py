@@ -132,7 +132,7 @@ class TestConvergenceTable:
     def test_every_level_is_checked_before_any_runs(self, monkeypatch):
         calls = []
         monkeypatch.setattr(mms, "run_level", lambda *args: calls.append(args))
-        with pytest.raises(ConfigError, match=r"dt must be > 0 \(got -1\.0\)"):
+        with pytest.raises(ConfigError, match=r"dt must be strictly positive and finite \(got -1\.0\)"):
             convergence_table(CASE, [(8, 0.005), (16, 0.0025), (32, -1.0)], 0.05)
         assert calls == []
 

@@ -51,7 +51,7 @@ class TestValidate:
     def test_beta_zero_rejected(self):
         params = dataclasses.replace(baseline_params(), beta=0.0)
         with pytest.raises(ConfigError,
-                           match=r"parameter 'beta' must be strictly positive \(got 0\.0\)"):
+                           match=r"parameter 'beta' must be strictly positive and finite \(got 0\.0\)"):
             validate(params, good_config())
 
     def test_single_element_mesh_rejected(self):
@@ -90,9 +90,9 @@ class TestValidate:
 
     def test_bad_time_grid(self):
         for dt in (-0.1, 0.0):
-            with pytest.raises(ConfigError, match="dt must be > 0"):
+            with pytest.raises(ConfigError, match="dt must be strictly positive and finite"):
                 validate(baseline_params(), good_config(dt=dt))
-        with pytest.raises(ConfigError, match="T must be > 0"):
+        with pytest.raises(ConfigError, match="T must be strictly positive and finite"):
             validate(baseline_params(), good_config(T=-1.0))
         # dt > 2T rounds to zero steps
         with pytest.raises(ConfigError, match="not within one dt of a whole number of steps"):
@@ -124,7 +124,12 @@ class TestValidate:
             assert errors == {"ConfigError", "SolverFailure"}
 
     def test_probe_outside_domain(self):
-        for x in (0.0, 1.0, 1.5, -0.2):
+        # positive_real rejects x <= 0; the range check adds only x < L
+        for x in (0.0, -0.2):
+            with pytest.raises(ConfigError, match=rf"probe point must be strictly "
+                                                  rf"positive and finite \(got {x}\)"):
+                validate(baseline_params(), good_config(probe_points=(x,)))
+        for x in (1.0, 1.5):
             with pytest.raises(ConfigError, match=rf"probe point {x} outside \(0, 1\.0\)"):
                 validate(baseline_params(), good_config(probe_points=(x,)))
 
@@ -136,15 +141,15 @@ class TestValidate:
 
     def test_snapshot_stride_positive(self):
         with pytest.raises(ConfigError,
-                           match=r"parameter 'snapshot_stride' must be strictly positive \(got 0\)"):
+                           match=r"snapshot_stride must be an integer >= 1 \(got 0\)"):
             validate(baseline_params(), good_config(snapshot_stride=0))
 
     @pytest.mark.parametrize("stride", [1.5, 2.5, 2.0, True, "2"])
     def test_non_integer_snapshot_stride_rejected(self, stride):
-        # the rule of element_count, with a floor of 1
+        # whole_number, the rule of element_count, with a floor of 1
         config = good_config(M=10 ** 6, dt=1e-6, T=1.0, snapshot_stride=stride)
         with pytest.raises(ConfigError,
-                           match=r"parameter 'snapshot_stride' must be an integer \(got "):
+                           match=r"snapshot_stride must be an integer >= 1 \(got "):
             validate(baseline_params(), config)
 
     def test_numpy_integer_snapshot_stride_accepted(self):

@@ -83,7 +83,7 @@ class TestAssembly:
             "assemble reached with a nonpositive dt"))
         for dt in (0.0, -0.1):
             config = SimulationConfig(M=4, dt=dt, T=1.0)
-            with pytest.raises(ConfigError, match="dt must be > 0"):
+            with pytest.raises(ConfigError, match="dt must be strictly positive and finite"):
                 run(PARAMS, config, sine_initial_data(1.0))
 
 
