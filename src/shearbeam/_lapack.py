@@ -1,15 +1,15 @@
 """The LAPACK routines the package calls, loaded without scipy's linalg package.
 
-`stepper` factorizes and solves its banded step matrix with `dgbtrf` and
-`dgbtrs`; `transform` solves its tridiagonal offset problem with `dgtsv`.
-All three live in scipy's f2py extension `linalg/_flapack`, which needs
-nothing of scipy but numpy.  Importing scipy's linalg package to reach
-them costs more than the rest of the package's start-up together, so the
-extension file is loaded by itself, in the `linalg` directory of the
-location `importlib.util.find_spec` gives for scipy without importing it.
-It is registered under the dotted name scipy imports it by, so a later
-import of scipy's linalg package reuses it; when that package was
-imported first, its module is the one used.
+`stepper` factorizes its banded step matrix with `dgbtrf` and solves with
+`dtbtrs` or `dgbtrs`; `transform` solves its tridiagonal offset problem
+with `dgtsv`.  All four live in scipy's f2py extension `linalg/_flapack`,
+which needs nothing of scipy but numpy.  Importing scipy's linalg package
+to reach them costs more than the rest of the package's start-up
+together, so the extension file is loaded by itself, in the `linalg`
+directory of the location `importlib.util.find_spec` gives for scipy
+without importing it.  It is registered under the dotted name scipy
+imports it by, so a later import of scipy's linalg package reuses it;
+when that package was imported first, its module is the one used.
 
 This is the only way in.  When scipy is not installed, or its `linalg`
 directory holds no `_flapack` extension file (an editable install that

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigError, PhysicalParams
-from .stepper import State, discrete_energy
+from .stepper import State, _energy_stencil, discrete_energy
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,13 @@ class EnergyRecorder:
         self.steps: list[int] = []
         self.times: list[float] = []
         self.energies: list[float] = []
+        self._mesh = self._stencil = None
 
     def __call__(self, state: State) -> None:
-        energy = discrete_energy(state, self.params)
+        if state.mesh is not self._mesh:  # E, held: a lookup hashes params
+            self._mesh = state.mesh
+            self._stencil = _energy_stencil(self.params, state.mesh.h)
+        energy = discrete_energy(state, self.params, self._stencil)
         if not math.isfinite(energy):
             raise ConfigError(
                 f"step {state.n} (t = {state.t:.9g}): the energy is not finite")
@@ -81,7 +85,7 @@ def check_monotone(series: EnergySeries, tol_rel: float) -> list[int]:
 def neg_log_over_t(series: EnergySeries) -> np.ndarray:
     """The series -log(E^n)/t_n (NaN where t_n = 0, +inf where E^n <= 0)."""
     t = np.asarray(series.t, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         out = -np.log(np.maximum(series.E, 0.0)) / t
     out[t == 0.0] = np.nan
     return out
@@ -91,8 +95,9 @@ def fit_decay(series: EnergySeries, window: tuple[float, float]) -> DecaySummary
     """Least-squares affine fit of log E against t over a time window.
 
     Uses the samples with window[0] <= t <= window[1] and E > 0; raises
-    ConfigError for a window without window[0] < window[1] and when fewer
-    than 3 samples remain.
+    ConfigError for a window without window[0] < window[1], when fewer
+    than 3 samples remain, and when the rate or sigma0_hat leaves double
+    range.
     """
     lo, hi = window
     if not lo < hi:
@@ -104,12 +109,27 @@ def fit_decay(series: EnergySeries, window: tuple[float, float]) -> DecaySummary
         raise ConfigError(
             f"window [{lo}, {hi}] holds {int(keep.sum())} positive samples; need >= 3")
     tw, logE = t[keep], np.log(E[keep])
-    slope, intercept = np.polyfit(tw, logE, 1)
-    dev = np.abs(logE - (slope * tw + intercept))
+    # The fit runs on t centred on the samples' midpoint and scaled by
+    # their half-width, so that no sum over powers of t overflows, and in
+    # closed form (np.polyfit's SVD pages in 0.8 MiB of library code); its
+    # slope and intercept are then mapped back to t.
+    mid = tw.min() / 2.0 + tw.max() / 2.0
+    half = tw.max() - mid
+    s = (tw - mid) / half
+    ds, dy = s - s.mean(), logE - logE.mean()
+    a = np.dot(ds, dy) / np.dot(ds, ds)
+    b = logE.mean() - a * s.mean()
+    with np.errstate(over="ignore"):
+        slope = a / half
+        sigma0 = np.exp(b - slope * mid)
+    for name, value in (("sigma1_hat", slope), ("sigma0_hat", sigma0)):
+        if not math.isfinite(value):
+            raise ConfigError(f"window [{lo}, {hi}]: {name} leaves double range")
+    dev = np.abs(logE - (a * s + b))
     span = float(logE.max() - logE.min())
     if span > 0.0:
         residual = float(dev.max() / span)
     else:
         residual = float(dev.max() / max(1.0, np.abs(logE).max()))
-    return DecaySummary(sigma1_hat=float(-slope), sigma0_hat=float(np.exp(intercept)),
+    return DecaySummary(sigma1_hat=float(-slope), sigma0_hat=float(sigma0),
                         fit_window=(float(lo), float(hi)), fit_residual=residual)

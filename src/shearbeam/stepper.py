@@ -44,18 +44,17 @@ its energy and the next step).  D A, D scaling the xi, Phi and vartheta
 rows of A down by a power of two, is assembled once in band storage —
 band width 6 on either side — and LU-factorized once per (params, mesh,
 dt) by LAPACK's dgbtrf; the scale spares it the row interchanges A itself
-needs on most coarser meshes.  When dgbtrf made none, each step is solved
-by two bare triangular sweeps over D^-1 L and U: the bits of A's own
-no-interchange LU (a power of two scales exactly) in less time than
-dgbtrs.  When it made some, dgbtrs solves D A x = D rhs.  Only the
-factors and that rhs hold the scale.
-dgbtrf and dgbtrs come from scipy's LAPACK extension, reached through
-`_lapack`, which loads it without importing the rest of scipy.  Each solve
+needs on most coarser meshes.  Each step solves D A x = D rhs in place in
+the new state's unknowns: by two dtbtrs sweeps, over the unit-diagonal L,
+which does not divide, and over U, when dgbtrf made no interchanges (the
+bits of A's own LU, as a power of two scales exactly), and else by dgbtrs.
+Only the factors and that rhs hold the scale.  dgbtrf, dgbtrs and dtbtrs
+come from scipy's LAPACK extension, reached through `_lapack`.  Each solve
 must pass a backward-error test against the stencil of A (`RESIDUAL_TOL`).
-Optional sources
-f_i(x, t) = sum_k g_ik(x) tau_k(t) enter at the new time level, matching
-the backward-Euler character of the scheme: the load vectors of all g_ik
-are assembled in one call per mesh, and each step weights them by tau(t_n).
+Optional sources f_i(x, t) = sum_k g_ik(x) tau_k(t) enter at the new time
+level, matching the backward-Euler character of the scheme: the load
+vectors of all g_ik are assembled in one call per mesh, and each step
+weights them by tau(t_n).
 The discrete energy is the quadratic form 1/2 s.(E s) with one 24x8
 stencil E (`discrete_energy`).
 """
@@ -205,10 +204,12 @@ def _energy_stencil(params: PhysicalParams, h: float) -> np.ndarray:
     return out
 
 
-def discrete_energy(state: State, params: PhysicalParams) -> float:
+def discrete_energy(state: State, params: PhysicalParams, stencil=None) -> float:
     """Energy of one discrete state, 1/2 s.(E s); positive definite for
-    positive params."""
-    es = state.windows() @ _energy_stencil(params, state.mesh.h)
+    positive params.  `stencil` is E when the caller holds it."""
+    if stencil is None:
+        stencil = _energy_stencil(params, state.mesh.h)
+    es = state.windows() @ stencil
     return float(0.5 * np.vdot(state._s[1:-1], es))
 
 
@@ -265,34 +266,27 @@ class BlockSystem:
         self._update = np.hstack([np.eye(4), self.dt * np.eye(4)])
 
         # D A = P L U; row class i of A is scaled by d[i].
-        d = [1.0 / _PSI_SCALE] * 4
-        d[_PSI] = 1.0
+        d = [1.0 if c == _PSI else 1.0 / _PSI_SCALE for c in range(4)]
         ab = _band(self._A * d, n)
         lu, piv, info = lapack.dgbtrf(ab, _KL, _KU)
         if info > 0:
             raise SolverFailure(f"zero pivot at position {info} during factorization")
         if info < 0:
             raise SolverFailure(f"banded factorization rejected argument {-info}")
-        self._lu, self._piv, self._d = lu, piv, np.array(d)
+        self._lu, self._piv = lu, piv
+        # D, one factor per unknown (5x faster to apply than 4 broadcast),
+        # in the band's buffer, which dgbtrf copied and left unused.
+        self._d = ab.reshape(-1)[-4 * n:].reshape(n, 4)
+        self._d[:] = d
         if _no_interchanges(piv):
-            # No interchanges, so no fill-in: U is an upper band of _KU
-            # superdiagonals, and so is L, unit-diagonal, with the unknowns
-            # reversed.  dgbtrs with kl = 0 solves each by one sweep (kl = 6
-            # calls dger per column; ipiv goes unread), dividing exactly by
-            # L's stored diagonal.  They are packed contiguous, as f2py
-            # copies slices per call, into the band's buffer, which dgbtrf
-            # copied and left unused.
+            # No interchanges, so no fill-in: U and the unit-diagonal L are
+            # bands of 6 super- and subdiagonals, each swept once by dtbtrs,
+            # which divides by U's diagonal and leaves L's stored one (U's)
+            # unread.  Both are packed contiguous at the buffer's start, as
+            # f2py copies slices.
             m, k = lu.shape[1], _KU + 1
             packed = ab.reshape(-1)[:2 * k * m].reshape(k, -1, order="F")
-            packed[:, :m], packed[:, m:] = lu[_KL:_KL + k], lu[_KL + _KU:][::-1, ::-1]
-            packed[_KU, m:] = 1.0
-            # The forward sweep solves with D^-1 L: row i of L, its
-            # diagonal included, divided by d[i % 4].  Entry (i, i - j) of
-            # L lies in row _KU - j, column m - 1 - i + j of the reversed
-            # band, and m is a multiple of 4, so along the column-major
-            # band the row class repeats every 4 columns of k entries.
-            lower = packed.T[m:].reshape(-1, 4 * k)
-            lower /= [d[(_KU - 1 - c - r) % 4] for c in range(4) for r in range(k)]
+            packed[:, :m], packed[:, m:] = lu[_KL:_KL + k], lu[_KL + _KU:]
             self._upper, self._lower = packed[:, :m], packed[:, m:]
             self._lu = None
 
@@ -301,18 +295,20 @@ class BlockSystem:
         array with zero end rows: the (M-1, 4) interior rows of A x."""
         return _windows(x) @ self._A
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """A^{-1} rhs for a flat rhs in the solve ordering; rhs is not written."""
-        if self._lu is None:
-            y, info = lapack.dgbtrs(self._lower, 0, _KU, rhs[::-1], self._piv)
+    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A^{-1} rhs, rhs flat or (n, 4) in the solve ordering and not written;
+        solved in place in `out`, a C-contiguous (n, 4) array, when given."""
+        out = np.empty((rhs.size // 4, 4)) if out is None else out
+        b = np.multiply(rhs.reshape(-1, 4), self._d, out=out).reshape(-1, 1)
+        if self._lu is None:  # positional uplo, trans, diag, overwrite_b: faster
+            b, info = lapack.dtbtrs(self._lower, b, "L", "N", "U", 1)
             if info == 0:
-                x, info = lapack.dgbtrs(self._upper, 0, _KU, y[::-1], self._piv)
+                b, info = lapack.dtbtrs(self._upper, b, "U", "N", "N", 1)
         else:
-            x, info = lapack.dgbtrs(self._lu, _KL, _KU,
-                                    (rhs.reshape(-1, 4) * self._d).ravel(), self._piv)
+            b, info = lapack.dgbtrs(self._lu, _KL, _KU, b, self._piv, overwrite_b=1)
         if info != 0:
             raise SolverFailure(f"banded back-substitution failed (info={info})")
-        return x
+        return out.reshape(rhs.shape)
 
 
 def assemble(params: PhysicalParams, mesh: UniformMesh, dt: float) -> BlockSystem:
@@ -332,7 +328,7 @@ def advance(system: BlockSystem, state: State, loads=None) -> State:
         rhs += loads
 
     x_new = np.zeros((s.shape[0], 4))
-    x_new[1:-1] = system.solve(rhs.ravel()).reshape(-1, 4)
+    system.solve(rhs, x_new[1:-1])
 
     # Written so that a NaN anywhere fails the check.
     r = system.matvec(x_new) - rhs

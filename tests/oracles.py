@@ -11,11 +11,15 @@ elimination algebra:
 * manufactured sources are recomputed from the base closures with central
   finite differences;
 * `dense` builds the matrix of any linear map from its product alone, so a
-  test of an operator checks the product the package computes with.
+  test of an operator checks the product the package computes with;
+* `exact_rate` solves the decay fit's least-squares problem in rational
+  arithmetic.
 
 `make_state` and `random_state` are the one way the tests build a `State`
 from the interior values of its seven fields.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -205,3 +209,13 @@ def fd_sources(case, x, t, step=1e-3):
     f4 = (p.rho3 * dt2(w) - p.delta * dx2(w) + p.beta * dx1_of_dt(phi)
           - p.kappa * dx2_of_dt(w))
     return f1, f2, f3, f4
+
+
+def exact_rate(t, E) -> float:
+    """Minus the least-squares slope of log E against t, in exact rational
+    arithmetic on the float samples of t and log E."""
+    t = [Fraction(v) for v in t]
+    y = [Fraction(v) for v in np.log(E)]
+    t_bar, y_bar = sum(t) / len(t), sum(y) / len(y)
+    return float(-sum((a - t_bar) * (b - y_bar) for a, b in zip(t, y))
+                 / sum((a - t_bar) ** 2 for a in t))

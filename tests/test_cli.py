@@ -15,6 +15,8 @@ from shearbeam import cli, mms, model, stepper
 from shearbeam.cli import _fmt, main
 from shearbeam.energy import EnergyRecorder
 
+from oracles import exact_rate
+
 REPO = Path(__file__).resolve().parent.parent
 BASELINE_CFG = REPO / "configs" / "baseline.cfg"
 
@@ -585,6 +587,17 @@ class TestEnergyCommand:
         assert captured.out == ""
         assert captured.err == (f"ConfigError: window [{shown}] is empty: "
                                 "its start is not below its end\n")
+
+    def test_times_beyond_1e154_are_fitted(self, tmp_path, capsys):
+        # t^2 overflows in a fit on t itself
+        path = tmp_path / "energy.csv"
+        path.write_text("n,t,E\n0,0,1\n1,1e200,0.5\n2,2e200,0.2\n3,3e200,0.1\n")
+        assert main(["energy", "--input", str(path), "--window", "0,3e200"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rate = float(re.search(r"^sigma1_hat = (.*)$", captured.out, re.M).group(1))
+        exact = exact_rate([0.0, 1e200, 2e200, 3e200], [1.0, 0.5, 0.2, 0.1])
+        assert rate == pytest.approx(exact, rel=1e-13)
 
     def test_byte_order_mark_ignored(self, tmp_path, capsys):
         t = np.linspace(0.0, 4.0, 101)

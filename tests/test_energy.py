@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from shearbeam import energy, stepper
 from shearbeam.energy import (EnergyRecorder, EnergySeries, check_monotone,
                               discrete_energy, fit_decay, neg_log_over_t)
 from shearbeam.femesh import UniformMesh, load_vector, stencils, toeplitz
@@ -11,7 +12,7 @@ from shearbeam.model import (ConfigError, PhysicalParams, SimulationConfig,
                              baseline_params, sine_initial_data)
 from shearbeam.stepper import State, initial_state, run
 
-from oracles import FIELDS, random_state, step_map_rate
+from oracles import FIELDS, exact_rate, random_state, step_map_rate
 
 PARAMS = baseline_params()
 
@@ -68,6 +69,23 @@ class TestEnergyRecorder:
                 observers=(rec,))
         assert rec.steps == list(range(703))
         assert rec.times[-1] == 351.0 and np.isfinite(rec.energies).all()
+
+    def test_looks_up_the_stencil_once_per_mesh(self, monkeypatch):
+        lookups = []
+
+        def lookup(params, h):
+            lookups.append(h)
+            return stepper._energy_stencil(params, h)
+
+        monkeypatch.setattr(energy, "_energy_stencil", lookup)
+        rec = EnergyRecorder(PARAMS)
+        coarse, fine = UniformMesh(10, 1.0), UniformMesh(20, 1.0)
+        states = [random_state(mesh, np.random.default_rng(k))
+                  for k, mesh in enumerate([coarse, coarse, coarse, fine, fine, coarse])]
+        for state in states:
+            rec(state)
+        assert lookups == [0.1, 0.05, 0.1]
+        assert rec.energies == [discrete_energy(state, PARAMS) for state in states]
 
 
 def fields(state):
@@ -177,6 +195,25 @@ class TestCheckMonotone:
 
 
 class TestFitDecay:
+    @pytest.mark.parametrize("t, E", [
+        ([0.0, 1e200, 2e200, 3e200], [1.0, 0.5, 0.2, 0.1]),
+        ([1e-300, 2e-300, 4e-300], [1.0, 0.9, 0.7]),
+        ([1e15, 1e15 + 1, 1e15 + 2, 1e15 + 4], np.exp(-1e-13 * np.array([0, 1, 3, 4])))],
+        ids=["huge-times", "tiny-times", "large-offset"])
+    def test_rate_matches_the_exact_least_squares_slope(self, t, E):
+        # t is centred and scaled before the fit: no sum over powers of t
+        # overflows, and a large offset costs no digits of the rate
+        t, E = np.array(t), np.array(E)
+        summary = fit_decay(EnergySeries(t, E), (t[0], t[-1]))
+        assert summary.sigma1_hat == pytest.approx(exact_rate(t, E), rel=1e-13)
+
+    def test_sigma0_beyond_double_range_is_named(self):
+        # log E = 1000 - t extrapolates to log sigma0 = 1000 at t = 0
+        t = np.array([1000.0, 1001.0, 1002.0])
+        with pytest.raises(ConfigError,
+                           match=r"^window \[1000\.0, 1002\.0\]: sigma0_hat leaves double range$"):
+            fit_decay(EnergySeries(t, np.exp(1000.0 - t)), (1000.0, 1002.0))
+
     def test_exact_exponential(self):
         t = np.linspace(0.0, 3.0, 61)
         series = EnergySeries(t, 5.0 * np.exp(-2.0 * t))
@@ -250,3 +287,9 @@ class TestNegLogOverT:
         out = neg_log_over_t(EnergySeries(t, E))
         assert np.isnan(out[0])
         assert_allclose(out[1:], [3.0, 4.0, np.inf, np.inf])
+
+    def test_quotient_beyond_double_range_is_infinite_without_a_warning(self):
+        # a step of dt = 2.2e-308 divides log E by the smallest normal time
+        t = np.array([0.0, 2.2250738585072014e-308, 1.0])
+        out = neg_log_over_t(EnergySeries(t, np.array([2.0, 221.0, 1e-300])))
+        assert_allclose(out[1:], [-np.inf, 300 * np.log(10.0)])

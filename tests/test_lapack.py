@@ -1,6 +1,7 @@
 """The LAPACK shim: scipy's extension loaded from its file, the ImportError
-when scipy or the file is missing, and scipy's own linalg package living
-alongside it in either import order.
+when scipy or the file is missing, scipy's own linalg package living
+alongside it in either import order, and the in-place solves the stepper
+relies on.
 
 Each check that depends on what a process has imported runs in a fresh
 interpreter, since this one has imported whatever earlier tests needed.
@@ -12,9 +13,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shearbeam
+from shearbeam._lapack import lapack
 
 SRC = str(Path(shearbeam.__file__).resolve().parents[1])
 
@@ -91,3 +94,29 @@ def test_scipy_linalg_works_after_the_package():
     assert out["residual"] < 1e-14
     # scipy imports the extension the shim registered rather than a second copy.
     assert out["reused"]
+
+
+def test_solves_overwrite_a_contiguous_column_in_place():
+    # `advance` takes each step's solution from the array it passes, so
+    # every solve `BlockSystem.solve` makes must write a contiguous (n, 1)
+    # b, not a copy of it; dtbtrs is reached at the scipy floor too.
+    n = 6
+    sub, sup = np.diag(np.ones(n - 1), -1), np.diag(np.full(n - 1, 2.0), 1)
+    a = 4.0 * np.eye(n) + sub + sup
+    # Band storage: (diagonal, subdiagonal) rows for uplo "L" and
+    # (superdiagonal, diagonal) rows for uplo "U".
+    lower = np.array([np.full(n, 4.0), np.r_[np.ones(n - 1), 0.0]])
+    upper = np.array([np.r_[0.0, np.full(n - 1, 2.0)], np.full(n, 4.0)])
+    lu, piv, info = lapack.dgbtrf(np.vstack([np.zeros(n), upper, lower[1]]), 1, 1)
+    assert info == 0
+    # uplo, trans, diag and overwrite_b as `BlockSystem.solve` passes them
+    for solve, matrix in (
+            (lambda b: lapack.dtbtrs(lower, b, "L", "N", "U", 1), np.eye(n) + sub),
+            (lambda b: lapack.dtbtrs(upper, b, "U", "N", "N", 1), a - sub),
+            (lambda b: lapack.dgbtrs(lu, 1, 1, b, piv, overwrite_b=1), a)):
+        rhs = np.arange(1.0, n + 1)
+        b = rhs.reshape(n, 1).copy()
+        x, info = solve(b)
+        assert info == 0
+        assert np.shares_memory(x, b)
+        np.testing.assert_allclose(matrix @ b[:, 0], rhs, rtol=1e-14)

@@ -250,20 +250,29 @@ class TestWindowCopy:
         state = random_state(mesh, np.random.default_rng(M))
         stencil = stepper._energy_stencil(PARAMS, mesh.h)
         energy = float(0.5 * np.vdot(state._s[1:-1], self.expected(state, stencil)))
-        rhs = self.expected(state, system._R).ravel()
-        solved = []
-        solve = system.solve
+        # D scales the xi, Phi and vartheta rows by 2^-6, exactly
+        d = np.full(4, 2.0 ** -6)
+        d[stepper._PSI] = 1.0
+        scaled = self.expected(state, system._R) * d
+        received = []
 
-        def recording_solve(b):
-            solved.append(b.copy())
-            return solve(b)
+        def recording(name, at):
+            routine = getattr(lapack, name)
 
-        monkeypatch.setattr(system, "solve", recording_solve)
+            def call(*args, **kwargs):
+                received.append(args[at].copy())
+                return routine(*args, **kwargs)
+            return call
+
+        # the step solves D A x = D rhs in place: the first sweep gets D rhs
+        proxy = types.SimpleNamespace(dtbtrs=recording("dtbtrs", 1),
+                                      dgbtrs=recording("dgbtrs", 3))
+        monkeypatch.setattr(stepper, "lapack", proxy)
         if energy_first:
             assert discrete_energy(state, PARAMS) == energy
         new = advance(system, state)
         assert discrete_energy(state, PARAMS) == energy
-        assert solved[0].tobytes() == rhs.tobytes()
+        assert received[0].tobytes() == scaled.tobytes()
         # the new state has its own copy
         assert not np.shares_memory(new.windows(), state.windows())
 
@@ -364,6 +373,16 @@ class TestSolve:
         x = system.solve(rhs)
         assert x.tobytes() == scaled_solve(system, rhs, 2.0 ** 6).tobytes()
         assert x.tobytes() == scaled_solve(system, rhs, 2.0 ** 7).tobytes()
+
+    @pytest.mark.parametrize("M, dt", [PIVOT_FREE[1], SCALED[0], PIVOTED[0]])
+    def test_advance_gives_the_bits_of_solve(self, M, dt):
+        # advance solves in place in the new state's array; solve in a new one
+        mesh = UniformMesh(M, PARAMS.L)
+        system = assemble(PARAMS, mesh, dt)
+        state = random_state(mesh, np.random.default_rng(M))
+        x = system.solve(TestWindowCopy.expected(state, system._R).ravel())
+        new = advance(system, state)
+        assert np.ascontiguousarray(new._s[1:-1, :4]).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("M, dt", PIVOT_FREE + SCALED + PIVOTED)
     def test_inverts_matvec_and_keeps_rhs(self, M, dt):
