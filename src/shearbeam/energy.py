@@ -8,7 +8,8 @@ The scheme's stability certificate is the quadratic form
 
 (all L2 norms), which the implicit step never increases.  `check_monotone`
 verifies that on a recorded series; `fit_decay` estimates the exponential
-rate from an affine fit of log E against t.
+rate from an affine fit of log E against t (`fit_line`, which
+`mms.observed_order_slope` shares).
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class EnergyRecorder:
         self._mesh = self._stencil = None
 
     def __call__(self, state: State) -> None:
-        if state.mesh is not self._mesh:  # E, held: a lookup hashes params
+        if state.mesh is not self._mesh:  # E, built once per mesh
             self._mesh = state.mesh
             self._stencil = _energy_stencil(self.params, state.mesh.h)
         energy = discrete_energy(state, self.params, self._stencil)
@@ -91,6 +92,23 @@ def neg_log_over_t(series: EnergySeries) -> np.ndarray:
     return out
 
 
+def fit_line(x: np.ndarray, y: np.ndarray):
+    """Least-squares line through points (x, y), two x distinct: its slope,
+    its value at x = 0 and its values at the x.  Fitted in closed form
+    (np.polyfit's SVD pages in 0.8 MiB of library code) on x centred and
+    scaled to [-1, 1], so that no sum over powers of x overflows; the slope
+    and intercept may leave double range, without a warning."""
+    mid = x.min() / 2.0 + x.max() / 2.0
+    half = x.max() - mid
+    s = (x - mid) / half
+    ds, dy = s - s.mean(), y - y.mean()
+    a = np.dot(ds, dy) / np.dot(ds, ds)
+    b = y.mean() - a * s.mean()
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at mid = 0
+        slope = a / half
+        return slope, b - slope * mid, a * s + b
+
+
 def fit_decay(series: EnergySeries, window: tuple[float, float]) -> DecaySummary:
     """Least-squares affine fit of log E against t over a time window.
 
@@ -108,28 +126,14 @@ def fit_decay(series: EnergySeries, window: tuple[float, float]) -> DecaySummary
     if keep.sum() < 3:
         raise ConfigError(
             f"window [{lo}, {hi}] holds {int(keep.sum())} positive samples; need >= 3")
-    tw, logE = t[keep], np.log(E[keep])
-    # The fit runs on t centred on the samples' midpoint and scaled by
-    # their half-width, so that no sum over powers of t overflows, and in
-    # closed form (np.polyfit's SVD pages in 0.8 MiB of library code); its
-    # slope and intercept are then mapped back to t.
-    mid = tw.min() / 2.0 + tw.max() / 2.0
-    half = tw.max() - mid
-    s = (tw - mid) / half
-    ds, dy = s - s.mean(), logE - logE.mean()
-    a = np.dot(ds, dy) / np.dot(ds, ds)
-    b = logE.mean() - a * s.mean()
+    logE = np.log(E[keep])
+    slope, log_sigma0, fitted = fit_line(t[keep], logE)
     with np.errstate(over="ignore"):
-        slope = a / half
-        sigma0 = np.exp(b - slope * mid)
+        sigma0 = np.exp(log_sigma0)
     for name, value in (("sigma1_hat", slope), ("sigma0_hat", sigma0)):
         if not math.isfinite(value):
             raise ConfigError(f"window [{lo}, {hi}]: {name} leaves double range")
-    dev = np.abs(logE - (a * s + b))
-    span = float(logE.max() - logE.min())
-    if span > 0.0:
-        residual = float(dev.max() / span)
-    else:
-        residual = float(dev.max() / max(1.0, np.abs(logE).max()))
+    span = float(logE.max() - logE.min()) or max(1.0, np.abs(logE).max())
+    residual = float(np.abs(logE - fitted).max() / span)
     return DecaySummary(sigma1_hat=float(-slope), sigma0_hat=float(sigma0),
                         fit_window=(float(lo), float(hi)), fit_residual=residual)

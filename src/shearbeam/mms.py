@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import stepper
+from .energy import fit_line
 from .femesh import at_quad, integrate
 from .model import (ConfigError, InitialData, PhysicalParams,
                     SimulationConfig, baseline_params, validate)
@@ -210,5 +211,4 @@ def observed_order_slope(rows, L: float = 1.0) -> float:
     """Least-squares slope of log(error) against log(h + dt) across rows."""
     h_plus_dt = np.array([L / r.M + r.dt for r in rows])
     err = np.array([r.error for r in rows])
-    slope, _ = np.polyfit(np.log(h_plus_dt), np.log(err), 1)
-    return float(slope)
+    return float(fit_line(np.log(h_plus_dt), np.log(err))[0])

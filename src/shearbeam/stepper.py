@@ -41,15 +41,16 @@ super-diagonal blocks stacked (24x4 for R, 12x4 for A), and applied as a
 single product with the view whose row for interior node i holds nodes
 i-1, i and i+1 (`_windows`; one copy per state, `State.windows`, serves
 its energy and the next step).  D A, D scaling the xi, Phi and vartheta
-rows of A down by a power of two, is assembled once in band storage —
-band width 6 on either side — and LU-factorized once per (params, mesh,
-dt) by LAPACK's dgbtrf; the scale spares it the row interchanges A itself
-needs on most coarser meshes.  Each step solves D A x = D rhs in place in
-the new state's unknowns: by two dtbtrs sweeps, over the unit-diagonal L,
+rows of A down by a power of two, is assembled once in band storage — band
+width 6 on either side — and LU-factorized once per (params, mesh, dt) by
+LAPACK's dgbtrf; the scale spares it the row interchanges A itself needs
+on most coarser meshes.  Each step solves D A x = D rhs in place in the
+new state's unknowns: by two dtbtrs sweeps, over the unit-diagonal L,
 which does not divide, and over U, when dgbtrf made no interchanges (the
 bits of A's own LU, as a power of two scales exactly), and else by dgbtrs.
-Only the factors and that rhs hold the scale.  dgbtrf, dgbtrs and dtbtrs
-come from scipy's LAPACK extension, reached through `_lapack`.  Each solve
+Only the factors and that rhs hold the scale.  L, U, the full factor and D
+are arrays of their own, and LAPACK reads each factor without a copy; the
+three routines come from scipy's LAPACK extension (`_lapack`).  Each solve
 must pass a backward-error test against the stencil of A (`RESIDUAL_TOL`).
 Optional sources f_i(x, t) = sum_k g_ik(x) tau_k(t) enter at the new time
 level, matching the backward-Euler character of the scheme: the load
@@ -61,7 +62,6 @@ stencil E (`discrete_energy`).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -92,6 +92,8 @@ RESIDUAL_TOL = 1e-12
 # `BlockSystem` factorizes: D divides the xi, Phi and vartheta rows by it.
 # Scaling down cannot overflow.
 _PSI_SCALE = 2.0 ** 6
+
+_ENERGY_ROWS = 1024  # nodes (8192 entries) per partial sum of `discrete_energy`
 
 
 def _windows(v: np.ndarray) -> np.ndarray:
@@ -182,35 +184,34 @@ def _band(stencil: np.ndarray, n: int) -> np.ndarray:
     return ab
 
 
-@functools.lru_cache(maxsize=8)
 def _energy_stencil(params: PhysicalParams, h: float) -> np.ndarray:
     """The 24x8 stencil E of the energy 1/2 s.(E s): block-diagonal, plus
-    the one cross block of |phi_x + psi|^2 from psi into the phi row.
-    Built once per (params, h) and shared, hence read-only."""
+    the one cross block of |phi_x + psi|^2 from psi into the phi row."""
     p = params
     mass, stiff, grad = stencils(h)
-    out = _block_stencil({(_XI, _XI): p.rho * mass,
-                          (_PHI, _PHI): p.rho1 * mass,
-                          (_PSI, _PSI): p.b * stiff + p.K * mass,
-                          (_VTH, _VTH): p.rho3 * mass,
-                          (_U, _U): p.alpha * stiff,
-                          (_DPHI, _DPHI): p.K * stiff,
-                          (_SPRING, _SPRING): p.lam * mass,
-                          (_W, _W): p.delta * stiff,
-                          # |phi_x + psi|^2 = phi.S phi + 2 phi.G^T psi + psi.M psi
-                          (_DPHI, _PSI): (2.0 * p.K) * grad[::-1]},
-                         width=8, rows=8)
-    out.flags.writeable = False
-    return out
+    return _block_stencil({(_XI, _XI): p.rho * mass,
+                           (_PHI, _PHI): p.rho1 * mass,
+                           (_PSI, _PSI): p.b * stiff + p.K * mass,
+                           (_VTH, _VTH): p.rho3 * mass,
+                           (_U, _U): p.alpha * stiff,
+                           (_DPHI, _DPHI): p.K * stiff,
+                           (_SPRING, _SPRING): p.lam * mass,
+                           (_W, _W): p.delta * stiff,
+                           # |phi_x + psi|^2 = phi.S phi + 2 phi.G^T psi + psi.M psi
+                           (_DPHI, _PSI): (2.0 * p.K) * grad[::-1]},
+                          width=8, rows=8)
 
 
 def discrete_energy(state: State, params: PhysicalParams, stencil=None) -> float:
     """Energy of one discrete state, 1/2 s.(E s); positive definite for
-    positive params.  `stencil` is E when the caller holds it."""
+    positive params.  `stencil` is E when the caller holds it, else it is
+    built.  OpenBLAS computes the dot of each chunk on one thread, so the
+    bits do not depend on its thread count."""
     if stencil is None:
         stencil = _energy_stencil(params, state.mesh.h)
-    es = state.windows() @ stencil
-    return float(0.5 * np.vdot(state._s[1:-1], es))
+    es, s = state.windows() @ stencil, state._s[1:-1]
+    return 0.5 * math.fsum(np.vdot(s[i:i + _ENERGY_ROWS], es[i:i + _ENERGY_ROWS])
+                           for i in range(0, len(s), _ENERGY_ROWS))
 
 
 class BlockSystem:
@@ -267,27 +268,21 @@ class BlockSystem:
 
         # D A = P L U; row class i of A is scaled by d[i].
         d = [1.0 if c == _PSI else 1.0 / _PSI_SCALE for c in range(4)]
-        ab = _band(self._A * d, n)
-        lu, piv, info = lapack.dgbtrf(ab, _KL, _KU)
+        lu, piv, info = lapack.dgbtrf(_band(self._A * d, n), _KL, _KU)
         if info > 0:
             raise SolverFailure(f"zero pivot at position {info} during factorization")
         if info < 0:
             raise SolverFailure(f"banded factorization rejected argument {-info}")
         self._lu, self._piv = lu, piv
-        # D, one factor per unknown (5x faster to apply than 4 broadcast),
-        # in the band's buffer, which dgbtrf copied and left unused.
-        self._d = ab.reshape(-1)[-4 * n:].reshape(n, 4)
-        self._d[:] = d
+        # D, one factor per unknown: 5x faster to apply than 4 broadcast.
+        self._d = np.tile(d, (n, 1))
         if _no_interchanges(piv):
             # No interchanges, so no fill-in: U and the unit-diagonal L are
             # bands of 6 super- and subdiagonals, each swept once by dtbtrs,
             # which divides by U's diagonal and leaves L's stored one (U's)
-            # unread.  Both are packed contiguous at the buffer's start, as
-            # f2py copies slices.
-            m, k = lu.shape[1], _KU + 1
-            packed = ab.reshape(-1)[:2 * k * m].reshape(k, -1, order="F")
-            packed[:, :m], packed[:, m:] = lu[_KL:_KL + k], lu[_KL + _KU:]
-            self._upper, self._lower = packed[:, :m], packed[:, m:]
+            # unread.  Fortran-contiguous copies: f2py copies a slice per call.
+            self._upper = np.asfortranarray(lu[_KL:_KL + _KU + 1])
+            self._lower = np.asfortranarray(lu[_KL + _KU:])
             self._lu = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -295,11 +290,10 @@ class BlockSystem:
         array with zero end rows: the (M-1, 4) interior rows of A x."""
         return _windows(x) @ self._A
 
-    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """A^{-1} rhs, rhs flat or (n, 4) in the solve ordering and not written;
-        solved in place in `out`, a C-contiguous (n, 4) array, when given."""
-        out = np.empty((rhs.size // 4, 4)) if out is None else out
-        b = np.multiply(rhs.reshape(-1, 4), self._d, out=out).reshape(-1, 1)
+    def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """A^{-1} rhs for an (n, 4) rhs, which is not written, solved in
+        place in `out`, a C-contiguous (n, 4) array, and returned."""
+        b = np.multiply(rhs, self._d, out=out).reshape(-1, 1)
         if self._lu is None:  # positional uplo, trans, diag, overwrite_b: faster
             b, info = lapack.dtbtrs(self._lower, b, "L", "N", "U", 1)
             if info == 0:
@@ -308,7 +302,7 @@ class BlockSystem:
             b, info = lapack.dgbtrs(self._lu, _KL, _KU, b, self._piv, overwrite_b=1)
         if info != 0:
             raise SolverFailure(f"banded back-substitution failed (info={info})")
-        return out.reshape(rhs.shape)
+        return out
 
 
 def assemble(params: PhysicalParams, mesh: UniformMesh, dt: float) -> BlockSystem:
@@ -330,7 +324,8 @@ def advance(system: BlockSystem, state: State, loads=None) -> State:
     x_new = np.zeros((s.shape[0], 4))
     system.solve(rhs, x_new[1:-1])
 
-    # Written so that a NaN anywhere fails the check.
+    # Written so that a NaN anywhere fails the check.  The two vdots only
+    # decide pass or fail, so their bits may follow the BLAS thread count.
     r = system.matvec(x_new) - rhs
     residual = math.sqrt(np.vdot(r, r))
     bound = RESIDUAL_TOL * system._A_norm * math.sqrt(np.vdot(x_new, x_new))

@@ -12,8 +12,9 @@ elimination algebra:
   finite differences;
 * `dense` builds the matrix of any linear map from its product alone, so a
   test of an operator checks the product the package computes with;
-* `exact_rate` solves the decay fit's least-squares problem in rational
-  arithmetic.
+* `exact_slope` solves the least-squares line fit in rational arithmetic,
+  and `exact_rate` is the decay rate it gives on (t, log E);
+  `slope_tolerance` bounds a float fit's rounding error against it.
 
 `make_state` and `random_state` are the one way the tests build a `State`
 from the interior values of its seven fields.
@@ -211,11 +212,26 @@ def fd_sources(case, x, t, step=1e-3):
     return f1, f2, f3, f4
 
 
+def exact_slope(x, y) -> float:
+    """The least-squares slope of y against x, in exact rational arithmetic
+    on the float samples, rounded once to a float."""
+    x = [Fraction(v) for v in x]
+    y = [Fraction(v) for v in y]
+    x_bar, y_bar = sum(x) / len(x), sum(y) / len(y)
+    return float(sum((a - x_bar) * (b - y_bar) for a, b in zip(x, y))
+                 / sum((a - x_bar) ** 2 for a in x))
+
+
+def slope_tolerance(x, y, slope) -> float:
+    """First-order rounding bound on a least-squares slope of y against x
+    fitted on centred, scaled x, each of the n samples carrying a relative
+    error eps in x and in y."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (len(x) * np.finfo(float).eps
+            * (np.abs(y).max() + abs(slope) * np.abs(x).max()) / np.ptp(x))
+
+
 def exact_rate(t, E) -> float:
     """Minus the least-squares slope of log E against t, in exact rational
     arithmetic on the float samples of t and log E."""
-    t = [Fraction(v) for v in t]
-    y = [Fraction(v) for v in np.log(E)]
-    t_bar, y_bar = sum(t) / len(t), sum(y) / len(y)
-    return float(-sum((a - t_bar) * (b - y_bar) for a, b in zip(t, y))
-                 / sum((a - t_bar) ** 2 for a in t))
+    return -exact_slope(t, np.log(E))

@@ -5,7 +5,9 @@ Every command ends in exit 0 with nothing on stderr, or in exit 2
 no traceback.  numpy warnings are errors here, so a warning printed
 beside a result or before an error line fails the test.  Each override
 is drawn from extreme strings; the base run has M = 4 and T = 0.02, so
-every case ends well under a second.
+every case ends well under a second.  The contents of energy CSVs are
+drawn from extreme times and energies, and a rate `energy` prints must
+match the rational least-squares slope.
 """
 
 import contextlib
@@ -20,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from shearbeam import model
 from shearbeam.cli import main
+
+from oracles import exact_rate, slope_tolerance
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -82,30 +86,75 @@ def command(name, overrides, reference) -> list[str]:
     return argv
 
 
-@settings(max_examples=600, deadline=None)
-@given(case=st.one_of(simulate, convergence, energy, eta_check))
-def test_every_exit_is_a_result_or_one_named_line(case):
-    name, overrides, reference = case
-    argv = command(name, overrides, reference)
+def run_main(argv, files) -> tuple[int, str, str]:
+    """main(argv) in a new directory holding `files` (name: text), with
+    numpy warnings as errors: the status, stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # output_dir overrides are relative names
         try:
-            Path("base.cfg").write_text(BASE_CONFIG)
-            Path("decay.csv").write_text(DECAY_CSV)
+            for name, text in files.items():
+                Path(name).write_text(text)
             with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
                 warnings.simplefilter("error")
                 status = main(argv)
         finally:
             os.chdir(cwd)
-    err = err.getvalue()
+    return status, out.getvalue(), err.getvalue()
+
+
+def check_exit(status, err, argv) -> None:
+    """Exit 0 with nothing on stderr, or 2, 3 or 4 with one line."""
     if status == 0:
         assert err == "", argv
         return
     assert status in (2, 3, 4), argv
     assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
     assert "Traceback" not in err, argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=st.one_of(simulate, convergence, energy, eta_check))
+def test_every_exit_is_a_result_or_one_named_line(case):
+    name, overrides, reference = case
+    argv = command(name, overrides, reference)
+    status, _, err = run_main(argv, {"base.cfg": BASE_CONFIG, "decay.csv": DECAY_CSV})
+    check_exit(status, err, argv)
     if status == 4:
         assert SOLVER_FAILURES & set(overrides.items()), (argv, err)
+
+
+# Energy CSV contents: time spacings of 1 to 4 units, the unit from 1e-300
+# to 1e300, and energies from subnormal to 1e308 with zeros.  Drawing
+# often from a few values makes equal spacings and energies common.
+UNITS = st.one_of(st.sampled_from([1e-300, 1e-10, 1.0, 1e10, 1e300]),
+                  st.floats(1e-300, 1e300))
+ENERGIES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                                      1.0, 1e308]),
+                     st.floats(5e-324, 1e308))
+
+
+@settings(max_examples=400, deadline=None)
+@given(unit=UNITS, start=st.sampled_from([0, 1, 10 ** 6]),
+       rows=st.lists(st.tuples(st.integers(1, 4), ENERGIES), min_size=3, max_size=10),
+       whole=st.booleans())
+def test_energy_csv_contents_give_the_exact_rate_or_one_named_line(unit, start, rows,
+                                                                   whole):
+    units = start + np.cumsum([0] + [spacing for spacing, _ in rows[1:]])
+    t, E = [float(k) * unit for k in units], [energy_n for _, energy_n in rows]
+    text = "n,t,E\n" + "".join(f"{n},{t_n!r},{E_n!r}\n"
+                                for n, (t_n, E_n) in enumerate(zip(t, E)))
+    lo, hi = (t[0], t[-1]) if whole else (t[-1] / 2.0, t[-1])
+    argv = ["energy", "--input=energy.csv"] + ([f"--window={lo!r},{hi!r}"] if whole else [])
+    status, out, err = run_main(argv, {"energy.csv": text})
+    check_exit(status, err, argv)
+    assert status != 4, argv
+    if status == 0:
+        t, E = np.array(t), np.array(E)
+        keep = (t >= lo) & (t <= hi) & (E > 0.0)
+        exact = exact_rate(t[keep], E[keep])
+        got = float(out.split("sigma1_hat = ")[1].split("\n")[0])
+        tol = slope_tolerance(t[keep], np.log(E[keep]), exact)
+        assert abs(got - exact) <= tol, (argv, text, got, exact)

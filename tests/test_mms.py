@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from shearbeam import mms, stepper
@@ -11,7 +12,7 @@ from shearbeam.mms import (ConvergenceRow, convergence_table, error_norm,
 from shearbeam.model import ConfigError, SimulationConfig
 from shearbeam.stepper import State, initial_state
 
-from oracles import fd_sources, random_state
+from oracles import exact_slope, fd_sources, random_state, slope_tolerance
 
 PI = np.pi
 CASE = reference_case()
@@ -177,3 +178,31 @@ class TestObservedOrder:
                                ratio=None, observed_order=None)
                 for M in (40, 80, 160)]
         assert observed_order_slope(rows) == pytest.approx(1.0, abs=1e-12)
+
+    # (M, dt, error) of `convergence --levels 4,8 --T 0.1` and of
+    # `--levels 40,80,160,320 --T 1.2`, as they print them.
+    @pytest.mark.parametrize("levels", [
+        [(4, 0.01, 2.9243972715270892), (8, 0.005, 1.4999836152986281)],
+        [(40, 0.001, 0.4153222159731022), (80, 0.0005, 0.19478541203720676),
+         (160, 0.00025, 0.095588502101744521), (320, 0.000125, 0.047562357933078558)]],
+        ids=["4,8", "40-320"])
+    def test_printed_tables_match_the_exact_slope(self, levels):
+        # within about 4 ulp of the rational slope (np.polyfit was 17 ulp
+        # off on 4,8)
+        rows = [ConvergenceRow(M, dt, err, None, None) for M, dt, err in levels]
+        exact = exact_slope(np.log([1.0 / M + dt for M, dt, _ in levels]),
+                            np.log([err for _, _, err in levels]))
+        assert observed_order_slope(rows) == pytest.approx(exact, rel=1e-15, abs=0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(2, 10 ** 6), st.floats(1e-8, 1.0),
+                              st.floats(1e-300, 1e300)),
+                    min_size=2, max_size=8, unique_by=lambda level: level[0]))
+    def test_drawn_rows_match_the_exact_slope(self, levels):
+        levels.sort()
+        rows = [ConvergenceRow(M, dt, err, None, None) for M, dt, err in levels]
+        x = np.log([1.0 / M + dt for M, dt, _ in levels])
+        y = np.log([err for _, _, err in levels])
+        assume(np.ptp(x) > 0.0)
+        exact = exact_slope(x, y)
+        assert abs(observed_order_slope(rows) - exact) <= slope_tolerance(x, y, exact)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import types
 import warnings
 
@@ -23,6 +24,31 @@ from oracles import (FIELDS, dense, dense_step_oracle, make_state,
                      quadrature_matrices, random_state)
 
 PARAMS = baseline_params()
+
+
+def solved(system, rhs):
+    """`system.solve` of a flat rhs into a new (n, 4) array, flattened."""
+    out = np.empty((system.n_unknowns // 4, 4))
+    system.solve(rhs.reshape(-1, 4), out)
+    return out.ravel()
+
+
+def spy_on_solves(monkeypatch):
+    """Patch the stepper's dtbtrs and dgbtrs to record each call's factor,
+    its b and a copy of b as passed; returns the list of records."""
+    received = []
+
+    def recording(name, at):
+        routine = getattr(lapack, name)
+
+        def call(*args, **kwargs):
+            received.append((args[0], args[at], args[at].copy()))
+            return routine(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(stepper, "lapack", types.SimpleNamespace(
+        dtbtrs=recording("dtbtrs", 1), dgbtrs=recording("dgbtrs", 3)))
+    return received
 
 
 def step_matrix(system):
@@ -159,7 +185,7 @@ class TestAdvance:
         system = assemble(PARAMS, UniformMesh(M, 1.0), 0.02)
         x = np.zeros((M + 1, 4))
         x[1:-1] = np.random.default_rng(M).normal(size=(M - 1, 4))
-        assert_allclose(system.solve(system.matvec(x).ravel()), x[1:-1].ravel(),
+        assert_allclose(solved(system, system.matvec(x).ravel()), x[1:-1].ravel(),
                         rtol=1e-12, atol=1e-12)
 
     def test_returned_states_are_never_written(self):
@@ -248,31 +274,22 @@ class TestWindowCopy:
         mesh = UniformMesh(M, 1.0)
         system = assemble(PARAMS, mesh, 0.001)
         state = random_state(mesh, np.random.default_rng(M))
-        stencil = stepper._energy_stencil(PARAMS, mesh.h)
-        energy = float(0.5 * np.vdot(state._s[1:-1], self.expected(state, stencil)))
+        # summed over fixed chunks of nodes, two at M=1280
+        es = self.expected(state, stepper._energy_stencil(PARAMS, mesh.h))
+        s, rows = state._s[1:-1], stepper._ENERGY_ROWS
+        energy = 0.5 * math.fsum(np.vdot(s[i:i + rows], es[i:i + rows])
+                                 for i in range(0, len(s), rows))
         # D scales the xi, Phi and vartheta rows by 2^-6, exactly
         d = np.full(4, 2.0 ** -6)
         d[stepper._PSI] = 1.0
         scaled = self.expected(state, system._R) * d
-        received = []
-
-        def recording(name, at):
-            routine = getattr(lapack, name)
-
-            def call(*args, **kwargs):
-                received.append(args[at].copy())
-                return routine(*args, **kwargs)
-            return call
-
         # the step solves D A x = D rhs in place: the first sweep gets D rhs
-        proxy = types.SimpleNamespace(dtbtrs=recording("dtbtrs", 1),
-                                      dgbtrs=recording("dgbtrs", 3))
-        monkeypatch.setattr(stepper, "lapack", proxy)
+        received = spy_on_solves(monkeypatch)
         if energy_first:
             assert discrete_energy(state, PARAMS) == energy
         new = advance(system, state)
         assert discrete_energy(state, PARAMS) == energy
-        assert received[0].tobytes() == scaled.tobytes()
+        assert received[0][2].tobytes() == scaled.tobytes()
         # the new state has its own copy
         assert not np.shares_memory(new.windows(), state.windows())
 
@@ -357,20 +374,20 @@ class TestSolve:
         rhs = np.random.default_rng(M).normal(size=system.n_unknowns)
         x, info = lapack.dgbtrs(lu, stepper._KL, stepper._KU, rhs, piv)
         assert info == 0
-        assert system.solve(rhs).tobytes() == x.tobytes()
+        assert solved(system, rhs).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("M, dt", PIVOT_FREE)
     def test_unscaled_sweeps_match_a_scaled_factorization(self, M, dt):
         # a power-of-two row scale changes no bit of the solution
         system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
         rhs = np.random.default_rng(M).normal(size=system.n_unknowns)
-        assert system.solve(rhs).tobytes() == scaled_solve(system, rhs, 2.0 ** 6).tobytes()
+        assert solved(system, rhs).tobytes() == scaled_solve(system, rhs, 2.0 ** 6).tobytes()
 
     @pytest.mark.parametrize("M, dt", SCALED)
     def test_scaled_sweeps_do_not_depend_on_the_scale(self, M, dt):
         system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
         rhs = np.random.default_rng(M).normal(size=system.n_unknowns)
-        x = system.solve(rhs)
+        x = solved(system, rhs)
         assert x.tobytes() == scaled_solve(system, rhs, 2.0 ** 6).tobytes()
         assert x.tobytes() == scaled_solve(system, rhs, 2.0 ** 7).tobytes()
 
@@ -380,7 +397,7 @@ class TestSolve:
         mesh = UniformMesh(M, PARAMS.L)
         system = assemble(PARAMS, mesh, dt)
         state = random_state(mesh, np.random.default_rng(M))
-        x = system.solve(TestWindowCopy.expected(state, system._R).ravel())
+        x = solved(system, TestWindowCopy.expected(state, system._R).ravel())
         new = advance(system, state)
         assert np.ascontiguousarray(new._s[1:-1, :4]).tobytes() == x.tobytes()
 
@@ -391,9 +408,27 @@ class TestSolve:
         x[1:-1] = np.random.default_rng(M).normal(size=(M - 1, 4))
         rhs = system.matvec(x).ravel()
         before = rhs.copy()
-        assert_allclose(system.solve(rhs), x[1:-1].ravel(), rtol=1e-12, atol=1e-12)
+        assert_allclose(solved(system, rhs), x[1:-1].ravel(), rtol=1e-12, atol=1e-12)
         # advance reads the right-hand side again for its residual check
         assert rhs.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("M, dt", [PIVOT_FREE[0], PIVOTED[0]])
+    def test_factors_reach_lapack_without_a_copy(self, monkeypatch, M, dt):
+        # f2py passes a Fortran-contiguous float array as it is and copies
+        # any other on every call; b is the caller's own (n, 4) array
+        system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
+        factors = ((system._lower, system._upper) if system._lu is None
+                   else (system._lu,))
+        assert all(f.flags.f_contiguous and f.dtype == np.float64 for f in factors)
+        assert system._d.shape == (M - 1, 4) and system._d.flags.c_contiguous
+        out = np.empty((M - 1, 4))
+        received = spy_on_solves(monkeypatch)
+        rhs = np.random.default_rng(M).normal(size=(M - 1, 4))
+        assert system.solve(rhs, out) is out
+        # each routine gets the held factor itself and a view of out
+        assert len(received) == len(factors)
+        for (a, b, _), factor in zip(received, factors):
+            assert a is factor and np.shares_memory(b, out)
 
     def test_psi_rows_near_overflow_are_solved(self):
         # b*Stiffness is finite, 64 times it is not: the scale divides the
@@ -402,7 +437,7 @@ class TestSolve:
         system = assemble(params, UniformMesh(8, 1.0), 1.0)
         x = np.zeros((9, 4))
         x[1:-1] = np.random.default_rng(8).normal(size=(7, 4))
-        assert_allclose(system.solve(system.matvec(x).ravel()), x[1:-1].ravel(),
+        assert_allclose(solved(system, system.matvec(x).ravel()), x[1:-1].ravel(),
                         rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("M, dt", SCALED + PIVOTED)
