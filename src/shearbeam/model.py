@@ -251,12 +251,13 @@ def parse_config(path: str | Path, overrides: dict[str, str | None] | None = Non
 
     Recognized keys: rho, alpha, lambda, mu, rho1, K, gamma, beta, b, rho3,
     delta, kappa, L, M, dt, T, probes (comma-separated), snapshot_stride,
-    output_dir.  Blank lines and lines starting with '#' are ignored;
-    unknown keys are errors.  `overrides` maps keys to raw text that
-    replaces the file's value (None entries are skipped); it is applied
-    after the file has been checked, so it cannot supply a missing key,
-    and parsed exactly like the file.  The returned pair is not yet
-    validated.
+    output_dir.  Blank lines and lines starting with '#' are ignored; a
+    comment is a whole line, so a '#' in a value is an error naming the
+    key and the line.  Unknown keys are errors.  `overrides` maps keys to
+    raw text that replaces the file's value (None entries are skipped); it
+    is applied after the file has been checked, so it cannot supply a
+    missing key, and parsed exactly like the file, '#' included as text.
+    The returned pair is not yet validated.
     """
     path = Path(path)
     try:
@@ -279,6 +280,9 @@ def parse_config(path: str | Path, overrides: dict[str, str | None] | None = Non
             raise ConfigError(f"{path}:{ln}: unknown key '{key}'")
         if key in values:
             raise ConfigError(f"{path}:{ln}: duplicate key '{key}'")
+        if "#" in raw:
+            raise ConfigError(f"{path}:{ln}: key '{key}': '#' starts a comment "
+                              "only at the start of a line")
         values[key] = raw
 
     required = tuple(PARAM_KEYS) + ("M", "dt", "T")

@@ -12,6 +12,8 @@ elimination algebra:
   finite differences;
 * `dense` builds the matrix of any linear map from its product alone, so a
   test of an operator checks the product the package computes with;
+* `stability_form` is the sum of squares that the paper's discrete
+  stability argument makes of the step matrix's quadratic form;
 * `exact_slope` solves the least-squares line fit in rational arithmetic,
   and `exact_rate` is the decay rate it gives on (t, log E);
   `slope_tolerance` bounds a float fit's rounding error against it.
@@ -97,6 +99,32 @@ def quadrature_matrices(mesh):
                 grad[i - 1, j - 1] += np.sum(wg * dvj * vi)
                 vdx[i - 1, j - 1] += np.sum(wg * vj * dvi)
     return mass, stiff, grad, vdx
+
+
+def stability_form(params, mesh, dt, x):
+    """x.(D'A)x for the step matrix A on unknowns x, an (n, 4) array of
+    (xi, Phi, psi, vartheta) rows, with D' dividing A's psi rows by dt, as
+    the sum of squares the energy argument gives:
+
+        (rho/dt + mu)|xi|^2 + alpha dt|xi_x|^2 + lam dt|xi - Phi|^2
+        + (rho1/dt + gamma)|Phi|^2 + K dt|Phi_x + psi/dt|^2 + (b/dt)|psi_x|^2
+        + (rho3/dt)|vartheta|^2 + (kappa + delta dt)|vartheta_x|^2.
+
+    The beta blocks drop out, as the gradient matrix is antisymmetric."""
+    p = params
+    mass, stiff, grad, _ = quadrature_matrices(mesh)
+    xi, Phi, psi, vth = np.asarray(x).T
+
+    def sq(v, Q):
+        return v @ Q @ v
+
+    return ((p.rho / dt + p.mu) * sq(xi, mass) + p.alpha * dt * sq(xi, stiff)
+            + p.lam * dt * sq(xi - Phi, mass) + (p.rho1 / dt + p.gamma) * sq(Phi, mass)
+            # |Phi_x + psi/dt|^2, with (Phi_x, psi) = psi.G Phi
+            + p.K * dt * (sq(Phi, stiff) + (2.0 / dt) * (psi @ grad @ Phi)
+                          + sq(psi, mass) / dt ** 2)
+            + (p.b / dt) * sq(psi, stiff) + (p.rho3 / dt) * sq(vth, mass)
+            + (p.kappa + p.delta * dt) * sq(vth, stiff))
 
 
 def dense_step_oracle(params, mesh, dt, prev, loads=None):

@@ -273,13 +273,14 @@ class TestErrorPaths:
                                       "no-levels", "M", "dt", "snapshot-stride",
                                       "T", "dup-probes", "no-rows",
                                       "repeat-levels", "descending-levels",
+                                      "descending-convergence-levels",
                                       "nan-energy", "inf-energy", "nan-time",
                                       "negative-energy", "repeated-time",
                                       "decreasing-time", "non-utf8-config",
                                       "non-utf8-energy", "bom-non-utf8-config",
                                       "eta-levels",
                                       "K-overflow", "step-overflow",
-                                      "convergence-step-overflow", "huge-M",
+                                      "convergence-step-overflow", "huge-M", "M-1e9",
                                       "eta-huge-M", "eta-too-large", "L-overflow",
                                       "tau-overflow"])
     def test_bad_input_is_one_line_exit_2(self, case, tmp_path, capsys):
@@ -325,6 +326,7 @@ class TestErrorPaths:
                 "repeat-levels": ["convergence", "--levels", "4,4", "--T", "0.05",
                                   "--output-dir", str(tmp_path / "conv")],
                 "descending-levels": ["eta-check", "--levels", "8,4"],
+                "descending-convergence-levels": ["convergence", "--levels", "8,4"],
                 "nan-energy": ["energy", "--input", str(energy_csv)],
                 "inf-energy": ["energy", "--input", str(energy_csv)],
                 "nan-time": ["energy", "--input", str(energy_csv)],
@@ -342,6 +344,7 @@ class TestErrorPaths:
                                               "--c", "1e-310", "--T", "1",
                                               "--output-dir", str(tmp_path / "conv")],
                 "huge-M": ["simulate", "--config", str(cfg), "--M", str(2 * 10 ** 18)],
+                "M-1e9": ["simulate", "--config", str(cfg), "--M", "1000000000"],
                 "eta-huge-M": ["eta-check", "--levels", f"2,{2 * 10 ** 18}"],
                 # checked before any mesh is built: no allocation here
                 "eta-too-large": ["eta-check", "--levels", "2,100000000"],
@@ -459,15 +462,22 @@ class TestErrorPaths:
         assert captured.err.startswith("ConfigError:") and captured.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("flags", [
-        ["--kappa", "1e300", "--delta", "1e300", "--dt", "0.05"],
-        ["--L", "1e200", "--probes", "1"]], ids=["kappa-delta", "L"])
-    def test_huge_but_accurate_run_succeeds(self, tmp_path, capsys, flags):
+    @pytest.mark.parametrize("flags, least", [
+        (["--kappa", "1e300", "--delta", "1e300", "--dt", "0.05"], 1e199),
+        (["--L", "1e200", "--probes", "1"], 1e199),
+        # psi rows whose 64-fold would overflow: the factorized matrix
+        # scales the other rows down instead.  The initial energy, 2.4e306,
+        # is b|psi_x|^2, and one step with this b leaves 1.66.
+        (["--b", "1e306", "--K", "1e-3", "--M", "8", "--dt", "1.0", "--T", "1.0"], 1.0),
+        # the residual relative to |rhs| grows with M, the backward error not
+        (["--M", "20000", "--dt", "0.005", "--T", "0.01"], 1.0)],
+        ids=["kappa-delta", "L", "b-1e306", "M-20000"])
+    def test_huge_but_accurate_run_succeeds(self, tmp_path, capsys, flags, least):
         cfg = tiny_config(tmp_path)
         assert main(["simulate", "--config", str(cfg), "--T", "0.05"] + flags) == 0
         assert capsys.readouterr().err == ""
         energy = cli.read_energy_csv(tmp_path / "out" / "energy.csv")
-        assert np.isfinite(energy.E).all() and energy.E[-1] > 1e199
+        assert np.isfinite(energy.E).all() and energy.E[-1] > least
 
     def test_out_of_memory_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch):
         def run(*args, **kwargs):
@@ -576,7 +586,8 @@ class TestEnergyCommand:
         assert main(["energy", "--input", str(path), "--window", "1,3"]) == 0
         assert "fit_window = [1, 3]" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("window, shown", [("3,1", "3.0, 1.0"), ("nan,1", "nan, 1.0")])
+    @pytest.mark.parametrize("window, shown", [("3,1", "3.0, 1.0"), ("nan,1", "nan, 1.0"),
+                                               ("0.8,0.2", "0.8, 0.2")])
     def test_empty_window_is_named(self, tmp_path, capsys, window, shown):
         t = np.linspace(0.0, 4.0, 101)
         rows = "\n".join(f"{i},{ti},{np.exp(-ti)},0,0" for i, ti in enumerate(t))

@@ -7,7 +7,9 @@ beside a result or before an error line fails the test.  Each override
 is drawn from extreme strings; the base run has M = 4 and T = 0.02, so
 every case ends well under a second.  The contents of energy CSVs are
 drawn from extreme times and energies, and a rate `energy` prints must
-match the rational least-squares slope.
+match the rational least-squares slope.  Config files are drawn from the
+base file's lines, edited, and a file runs only when README's rules take
+it.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shearbeam import model
 from shearbeam.cli import main
@@ -95,7 +97,7 @@ def run_main(argv, files) -> tuple[int, str, str]:
         os.chdir(tmp)  # output_dir overrides are relative names
         try:
             for name, text in files.items():
-                Path(name).write_text(text)
+                Path(name).write_bytes(text.encode())
             with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
                 warnings.simplefilter("error")
@@ -158,3 +160,53 @@ def test_energy_csv_contents_give_the_exact_rate_or_one_named_line(unit, start, 
         got = float(out.split("sigma1_hat = ")[1].split("\n")[0])
         tol = slope_tolerance(t[keep], np.log(E[keep]), exact)
         assert abs(got - exact) <= tol, (argv, text, got, exact)
+
+
+# Config files: the base file with up to three of its key lines each kept
+# with other spacing, dropped, commented out, blanked, repeated or given a
+# '#' note, an unknown key, up to two BOMs and CRLF line ends.
+EDITS = ("tight", "loose", "drop", "comment", "blank", "inline", "twice")
+# README's rules: these keys may be left out, and a blank probes or
+# output_dir means no probe points or the working directory.
+OPTIONAL_KEYS = ("probes", "snapshot_stride", "output_dir")
+BLANK_KEYS = ("probes", "output_dir")
+
+
+def config_file(edits, unknown, boms, crlf) -> tuple[str, bool]:
+    """The base config with `edits` (key: edit) applied, an unknown key
+    appended when `unknown`, `boms` BOMs in front and CRLF line ends when
+    `crlf`; its text, and whether README's rules take it."""
+    lines, valid = [], boms <= 1 and not unknown
+    for line in BASE_CONFIG.splitlines():
+        key, _, value = (part.strip() for part in line.partition("="))
+        edit = edits.get(key, "keep")
+        lines += {"keep": [line], "tight": [f"{key}={value}"],
+                  "loose": [f"  {key}  =\t{value}  "], "drop": [],
+                  "comment": [f"# {line}"], "blank": [f"{key} ="],
+                  "inline": [f"{line} # note"], "twice": [line, line]}[edit]
+        if edit in ("drop", "comment"):
+            valid &= key in OPTIONAL_KEYS
+        elif edit == "blank":
+            valid &= key in BLANK_KEYS
+        elif edit in ("inline", "twice"):
+            valid = False
+    if unknown:
+        lines.append("colour = 1")
+    end = "\r\n" if crlf else "\n"
+    return "\ufeff" * boms + end.join(lines) + end, valid
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.dictionaries(st.sampled_from(model.CONFIG_KEYS), st.sampled_from(EDITS),
+                             max_size=3),
+       unknown=st.booleans(), boms=st.integers(0, 2), crlf=st.booleans())
+# once written into a directory named "out # note"
+@example(edits={"output_dir": "inline"}, unknown=False, boms=0, crlf=False)
+@example(edits={"probes": "blank", "output_dir": "loose"}, unknown=False, boms=1, crlf=True)
+def test_config_files_run_only_when_valid(edits, unknown, boms, crlf):
+    text, valid = config_file(edits, unknown, boms, crlf)
+    argv = ["simulate", "--config=base.cfg"]
+    status, _, err = run_main(argv, {"base.cfg": text})
+    check_exit(status, err, argv)
+    assert status in (0, 2, 3), (text, err)
+    assert (status == 0) == valid, (text, err)

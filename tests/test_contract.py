@@ -1,0 +1,62 @@
+"""The byte contract: every output of `tests/golden/make.py`'s CLI calls,
+generated under OPENBLAS_NUM_THREADS=1 and =2, is the same under both and
+matches `tests/golden/outputs.json`.
+
+Everywhere, the recorded rows must match within TOLERANCE of each
+column's largest magnitude, with the same line counts and the same text
+between numbers.  In the environment of the recording (Python, numpy and
+scipy versions and machine) the sha256 digests must match as well.  The
+test prints which comparison it ran.  Re-record with
+`python tests/golden/make.py`.
+"""
+
+import json
+
+import pytest
+
+from golden import make
+
+# The benchmark's check on its outputs.
+TOLERANCE = 1e-9
+
+RECORDING = json.loads(make.RECORDING.read_text())
+
+
+def test_outputs_match_the_recording():
+    one, split = make.generate_twice()
+    assert not split, f"outputs that differ between 1 and 2 BLAS threads: {split}"
+
+    recorded = RECORDING["outputs"]
+    assert one.keys() == recorded.keys()
+    changes = {name: make.compare(name, recorded[name], data)[1]
+               for name, data in one.items()}
+    assert all(change <= TOLERANCE for change in changes.values()), changes
+    if RECORDING["environment"] != make.environment():
+        print(f"contract: recorded rows within {TOLERANCE:g} of each column's largest "
+              f"magnitude; recorded in {RECORDING['environment']}, "
+              f"running in {make.environment()}")
+        return
+    print("contract: exact sha256 digests and recorded rows, in the recording's "
+          f"environment {RECORDING['environment']}")
+    changed = [name for name, data in one.items()
+               if make.digest(data) != recorded[name]["sha256"]]
+    assert not changed, f"outputs whose bytes changed: {changed}"
+
+
+@pytest.mark.parametrize("name, line", [("convergence-40-320/convergence.csv", 5),
+                                        ("energy/stdout", 2)])
+def test_compare_scales_each_change_by_its_column(name, line):
+    # outputs of at most ten lines are recorded whole
+    recorded = RECORDING["outputs"][name]
+    rows = [recorded["rows"][str(i)] for i in range(1, recorded["lines"] + 1)]
+    assert make.compare(name, recorded, "\n".join(rows).encode()) == (0, 0.0)
+
+    # the line's first number up by 1e-12 relative: M = 320, the largest
+    # of its column, and sigma1_hat, a column of its own
+    number = make._NUMBER.search(rows[line - 1])
+    bumped = "%.17g" % (float(number.group()) * (1 + 1e-12))
+    rows[line - 1] = rows[line - 1].replace(number.group(), bumped, 1)
+    changed, change = make.compare(name, recorded, "\n".join(rows).encode())
+    assert changed == 1 and change == pytest.approx(1e-12, rel=1e-3)
+
+    assert make.compare(name, recorded, "\n".join(rows[:-1]).encode())[1] == float("inf")

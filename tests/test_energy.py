@@ -1,14 +1,8 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-import shearbeam
 from shearbeam import energy, stepper
 from shearbeam.energy import (EnergyRecorder, EnergySeries, check_monotone,
                               discrete_energy, fit_decay, neg_log_over_t)
@@ -21,9 +15,6 @@ from shearbeam.stepper import State, initial_state, run
 from oracles import FIELDS, exact_rate, random_state, step_map_rate
 
 PARAMS = baseline_params()
-# The package's and the oracles' directories, for subprocesses.
-PATH = os.pathsep.join([str(Path(shearbeam.__file__).resolve().parents[1]),
-                        str(Path(__file__).resolve().parent)])
 
 # Continuous energy of the all-sine initial data: the suspender term
 # vanishes (phi0 = u0) and every other contribution is an explicit sine
@@ -63,24 +54,6 @@ class TestDiscreteEnergy:
         e2 = discrete_energy(state(c), PARAMS)
         assert e2 == pytest.approx(c * c * e1, rel=1e-10)
         assert e1 > 0.0  # positive definite on a nonzero state
-
-    def test_bits_do_not_depend_on_the_blas_thread_count(self):
-        # 8(M-1) = 10232 entries at M=1280: OpenBLAS splits one dot product
-        # that long over its threads, which changes the last bits of most sums
-        script = ("import numpy as np\n"
-                  "from oracles import random_state\n"
-                  "from shearbeam.femesh import UniformMesh\n"
-                  "from shearbeam.model import baseline_params\n"
-                  "from shearbeam.stepper import discrete_energy\n"
-                  "for seed in range(4):\n"
-                  "    state = random_state(UniformMesh(1280, 1.0), np.random.default_rng(seed))\n"
-                  "    print(discrete_energy(state, baseline_params()).hex())\n")
-        energies = {threads: subprocess.run(
-                        [sys.executable, "-c", script], capture_output=True, text=True,
-                        check=True, env={**os.environ, "PYTHONPATH": PATH,
-                                         "OPENBLAS_NUM_THREADS": threads}).stdout
-                    for threads in ("1", "2")}
-        assert energies["1"] == energies["2"], energies
 
 
 class TestEnergyRecorder:

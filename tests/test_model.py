@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -353,3 +354,48 @@ class TestParseConfig:
         cfg.write_text("rho 1\n")
         with pytest.raises(ConfigError, match="key = value"):
             parse_config(cfg)
+
+    @pytest.mark.parametrize("old, new, line", [
+        # once written into a directory named "out # results go here"
+        ("output_dir = out", "output_dir = out # results go here", 22),
+        ("M = 100", "M = 100 # elements", 17),
+        ("probes = 0.6", "probes = 0.6#", 20)],
+        ids=["output_dir", "M", "probes"])
+    def test_comment_after_a_value_is_named(self, tmp_path, old, new, line):
+        # a comment is a whole line; '#' in a value is neither text nor a comment
+        text = (REPO / "configs" / "baseline.cfg").read_text()
+        cfg = tmp_path / "inline.cfg"
+        cfg.write_text(text.replace(old, new))
+        key = old.split(" = ")[0]
+        with pytest.raises(ConfigError, match=(
+                rf"^{re.escape(str(cfg))}:{line}: key '{key}': '#' starts a comment "
+                r"only at the start of a line$")):
+            parse_config(cfg)
+
+    def test_indented_comment_lines_are_ignored(self, tmp_path):
+        base = REPO / "configs" / "baseline.cfg"
+        cfg = tmp_path / "indented.cfg"
+        cfg.write_text("  # a note\n\t# another = 3\n" + base.read_text())
+        assert parse_config(cfg) == parse_config(base)
+
+    def test_flags_keep_their_hash_as_text(self):
+        _, config = parse_config(REPO / "configs" / "baseline.cfg",
+                                 {"output_dir": "out # results"})
+        assert config.output_dir == "out # results"
+
+    # Python's int() and float() read these, and so does the config file.
+    @pytest.mark.parametrize("key, raw, value", [
+        ("M", "1_000", 1000), ("dt", "0.000_5", 0.0005),
+        ("M", "١٠٠", 100),        # Arabic-Indic 100
+        ("dt", "٠.٠٠٥", 0.005),
+        ("T", "１０", 10.0)],            # fullwidth 10
+        ids=["M-underscore", "dt-underscore", "M-arabic-indic", "dt-arabic-indic",
+             "T-fullwidth"])
+    def test_python_number_syntax_is_accepted(self, tmp_path, key, raw, value):
+        text = (REPO / "configs" / "baseline.cfg").read_text()
+        lines = [f"{key} = {raw}" if line.partition("=")[0].strip() == key else line
+                 for line in text.splitlines()]
+        cfg = tmp_path / "digits.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _, config = parse_config(cfg)
+        assert getattr(config, key) == value

@@ -21,7 +21,7 @@ from shearbeam.stepper import (ProbeRecorder, SnapshotRecorder, advance,
                                assemble, initial_state, run)
 
 from oracles import (FIELDS, dense, dense_step_oracle, make_state,
-                     quadrature_matrices, random_state)
+                     quadrature_matrices, random_state, stability_form)
 
 PARAMS = baseline_params()
 
@@ -94,6 +94,40 @@ class TestAssembly:
         predicted = D / 4.0 + C + P * 4.0
         actual = step_matrix(assemble(PARAMS, mesh, 4.0))
         assert_allclose(actual, predicted, rtol=1e-11, atol=1e-11)
+
+    @pytest.mark.parametrize("M", [2, 3, 10])
+    @pytest.mark.parametrize("dt", [1e-4, 0.005, 0.5])
+    def test_scaled_step_matrix_is_the_stability_sum(self, M, dt):
+        # the paper's discrete stability algebra, on the assembled matrix
+        mesh, rng = UniformMesh(M, 1.0), np.random.default_rng(M)
+        drawn = PhysicalParams(*10.0 ** rng.uniform(-8, 8, 12), L=1.0)
+        for params in (PARAMS, drawn):
+            system = assemble(params, mesh, dt)
+            x = rng.normal(size=(M - 1, 4))
+            scaled = system.matvec(np.pad(x, ((1, 1), (0, 0)))) / [1.0, 1.0, dt, 1.0]
+            assert np.vdot(x, scaled) == pytest.approx(
+                stability_form(params, mesh, dt, x), rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(logs=st.lists(st.floats(-8.0, 8.0), min_size=12, max_size=12),
+           M=st.integers(2, 6), log_dt=st.floats(-4.0, 0.0))
+    def test_symmetric_part_of_the_scaled_step_matrix_is_positive(self, logs, M, log_dt):
+        # The sum of squares without its coupling terms bounds the smallest
+        # eigenvalue of (D'A + (D'A)^T)/2 from below.  Rounding moves the
+        # computed one by at most about n eps |D'A|, so it is positive
+        # wherever the bound exceeds that.
+        params, dt = PhysicalParams(*10.0 ** np.array(logs), L=1.0), 10.0 ** log_dt
+        mesh = UniformMesh(M, 1.0)
+        scaled = step_matrix(assemble(params, mesh, dt)) / np.tile([1.0, 1.0, dt, 1.0],
+                                                                   M - 1)[:, None]
+        mass, stiff, _, _ = quadrature_matrices(mesh)
+        m, s = np.linalg.eigvalsh(mass)[0], np.linalg.eigvalsh(stiff)[0]
+        p = params
+        bound = min((p.rho / dt + p.mu) * m, (p.rho1 / dt + p.gamma) * m, (p.b / dt) * s,
+                    (p.rho3 / dt) * m + (p.kappa + p.delta * dt) * s)
+        norm = np.linalg.norm(scaled, 2)
+        smallest = np.linalg.eigvalsh((scaled + scaled.T) / 2.0)[0]
+        assert smallest / norm >= bound / norm - 4 * len(scaled) * np.finfo(float).eps
 
     def test_singular_for_degenerate_parameters(self):
         # all-zero constants make the matrix identically zero; the
