@@ -81,9 +81,11 @@ def write_csv(path: Path, header: str, rows) -> None:
 def _snapshot_rows(recorder: stepper.SnapshotRecorder):
     """The recorder's (x, t, u, phi, psi, w) rows, time-major then
     node-major, with x and t as text cells, as `_fmt` writes them: x is
-    formatted once per run and t once per snapshot."""
-    nodes = [_fmt(x) for x in recorder.nodes or ()]
-    for t, fields in zip(recorder.times, recorder.fields):
+    formatted once per mesh and t once per snapshot."""
+    mesh = nodes = None
+    for snap_mesh, t, fields in zip(recorder.meshes, recorder.times, recorder.fields):
+        if snap_mesh is not mesh:
+            mesh, nodes = snap_mesh, [_fmt(x) for x in snap_mesh.nodes.tolist()]
         t_text = _fmt(t)
         for x, (u, phi, psi, w) in zip(nodes, fields.tolist()):
             yield (x, t_text, u, phi, psi, w)

@@ -25,7 +25,8 @@ array of P1 fields at those points in one call.
 
 `FeFunction` (a field by its interior values), `TriDiag` and `toeplitz`
 (an operator by its three diagonals) are independent oracles for the
-tests; no package path uses them.
+tests, kept here only until the benchmark's tracer stops patching
+`FeFunction` and `TriDiag`; no package path uses them.
 """
 
 from __future__ import annotations

@@ -283,7 +283,7 @@ class BlockSystem:
             # unread.  Fortran-contiguous copies: f2py copies a slice per call.
             self._upper = np.asfortranarray(lu[_KL:_KL + _KU + 1])
             self._lower = np.asfortranarray(lu[_KL + _KU:])
-            self._lu = None
+            self._lu = self._piv = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Unfactorized matrix applied to a contiguous node-major (M+1, 4)
@@ -401,23 +401,22 @@ class ProbeRecorder:
     (t, u, phi, psi, w) row per step."""
 
     def __init__(self, points):
-        self.points = tuple(points)
-        self.samples: dict[float, list[tuple[float, ...]]] = \
-            {x: [] for x in self.points}
+        self.samples: dict[float, list[tuple[float, ...]]] = {x: [] for x in points}
         self._mesh: UniformMesh | None = None
-        self._cells: list[tuple[int, float]] = []
+        self._cells: list[tuple[list, int, float]] = []
 
     def __call__(self, state: State) -> None:
-        # Element and local coordinate of each point, located once per
-        # mesh, for the P1 interpolation below.
+        # Each point's series, element and local coordinate, located once
+        # per mesh, for the P1 interpolation below.
         if state.mesh is not self._mesh:
             self._mesh = state.mesh
-            self._cells = [(int(e), float(s)) for e, s in
-                           map(state.mesh.locate, self.points)]
+            located = map(state.mesh.locate, self.samples)
+            self._cells = [(series, int(e), float(s)) for series, (e, s)
+                           in zip(self.samples.values(), located)]
         t, s = state.t, state._s
-        for x, (e, frac) in zip(self.points, self._cells):
+        for series, e, frac in self._cells:
             lo, hi = s[e:e + 2].tolist()
-            self.samples[x].append(
+            series.append(
                 (t,
                  lo[_U] * (1.0 - frac) + hi[_U] * frac,
                  lo[_DPHI] * (1.0 - frac) + hi[_DPHI] * frac,
@@ -432,15 +431,12 @@ class SnapshotRecorder:
         self.stride = int(stride)
         self.n_final = n_final
         self.times: list[float] = []
-        # One (M+1, 4) array of (u, phi, psi, w) per snapshot.
+        # Per snapshot: its state's mesh and an (M+1, 4) (u, phi, psi, w) array.
+        self.meshes: list[UniformMesh] = []
         self.fields: list[np.ndarray] = []
-        self.nodes: list[float] | None = None
 
     def __call__(self, state: State) -> None:
-        due = state.n % self.stride == 0 or state.n == self.n_final
-        if not due:
-            return
-        if self.nodes is None:
-            self.nodes = state.mesh.nodes.tolist()
-        self.times.append(state.t)
-        self.fields.append(state._s[:, _OUTPUT])
+        if state.n % self.stride == 0 or state.n == self.n_final:
+            self.meshes.append(state.mesh)
+            self.times.append(state.t)
+            self.fields.append(state._s[:, _OUTPUT])

@@ -59,6 +59,11 @@ THREADS = ("1", "2")
 # numbers is compared as it stands.
 _NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|-?inf|nan)")
 
+# A change is measured against its number, or against this share of its
+# column's largest magnitude where that is larger: the values a decay
+# leaves near zero are held to their own size, down to the floor.
+FLOOR = 1e-3
+
 
 def environment() -> dict:
     """What the bits may depend on besides the code."""
@@ -138,8 +143,9 @@ def _columns(name: str, rows: dict[str, str]) -> tuple[dict, dict]:
 def compare(name: str, recorded: dict, data: bytes) -> tuple[int, float]:
     """How `data` differs from an output's recording, over the recorded
     rows: the number of rows whose text changed, and the largest change of
-    a number relative to its column's largest recorded magnitude (inf when
-    the line count, a row's text between numbers or a NaN differs)."""
+    a number relative to max(|its recorded value|, FLOOR times its column's
+    largest recorded magnitude) (inf when the line count, a row's text
+    between numbers or a NaN differs)."""
     lines = lines_of(data)
     if len(lines) != recorded["lines"]:
         return len(recorded["rows"]), math.inf
@@ -151,11 +157,13 @@ def compare(name: str, recorded: dict, data: bytes) -> tuple[int, float]:
         return changed, math.inf
     largest = 0.0
     for key, column in old.items():
-        scale = max((abs(v) for v in column.values() if math.isfinite(v)), default=0.0)
+        floor = FLOOR * max((abs(v) for v in column.values() if math.isfinite(v)),
+                            default=0.0)
         for ln, was in column.items():
             now = new[key][ln]
             if now == was or (math.isnan(now) and math.isnan(was)):
                 continue
+            scale = max(abs(was), floor)
             change = abs(now - was) / scale if scale else math.inf
             largest = max(largest, change if change == change else math.inf)
     return changed, largest
@@ -175,7 +183,8 @@ def main() -> int:
             changed, largest = compare(name, old[name], data)
             print(f"{name}: changed in {changed} of {len(old[name]['rows'])} recorded "
                   f"rows ({old[name]['lines']} -> {len(lines_of(data))} lines), largest "
-                  f"change {largest:.2g} of its column's largest magnitude")
+                  f"change {largest:.2g} of its value (floor {FLOOR:g} of its "
+                  "column's largest magnitude)")
     for name in sorted(old.keys() - one.keys()):
         print(f"{name}: removed")
     RECORDING.write_text(json.dumps(record(one), indent=1, ensure_ascii=False) + "\n")

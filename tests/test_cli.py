@@ -90,11 +90,24 @@ class TestWriteCsv:
                     observers=(snap,))
         header = "x,t,u,phi,psi,w"
         cli.write_csv(tmp_path / "text.csv", header, cli._snapshot_rows(snap))
-        rows = [(x, t, *f) for t, fields in zip(snap.times, snap.fields)
-                for x, f in zip(snap.nodes, fields.tolist())]
+        rows = [(x, t, *f) for mesh, t, fields in zip(snap.meshes, snap.times, snap.fields)
+                for x, f in zip(mesh.nodes.tolist(), fields.tolist())]
         assert len(rows) == 4 * 10  # snapshots at n = 0, 2, 4, 5
         expected = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
         assert (tmp_path / "text.csv").read_bytes() == (header + "\n" + expected).encode()
+
+    def test_snapshot_rows_follow_each_snapshot_mesh(self):
+        # one recorder handed runs on two meshes: every snapshot has its own
+        # mesh's x, from 0 to L, and the clamped ends' zero fields
+        snap = stepper.SnapshotRecorder(1)
+        for M in (4, 8):
+            stepper.run(model.baseline_params(), model.SimulationConfig(M=M, dt=0.01, T=0.01),
+                        model.sine_initial_data(1.0), observers=(snap,))
+        rows = list(cli._snapshot_rows(snap))
+        assert len(rows) == 2 * 5 + 2 * 9  # n = 0, 1 on each mesh
+        for block, M in zip((rows[:5], rows[5:10], rows[10:19], rows[19:]), (4, 4, 8, 8)):
+            assert [x for x, *_ in block] == [_fmt(x) for x in np.linspace(0.0, 1.0, M + 1)]
+            assert block[0][2:] == block[-1][2:] == (0.0,) * 4
 
     def test_never_sets_the_umask(self, tmp_path, monkeypatch):
         # the mask is process-wide; open() applies it without changing it
@@ -611,15 +624,20 @@ class TestEnergyCommand:
         assert rate == pytest.approx(exact, rel=1e-13)
 
     def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        # and blank or whitespace-only lines, as a hand-edited file may hold
         t = np.linspace(0.0, 4.0, 101)
-        text = "t,E\n" + "".join(f"{ti},{np.exp(-ti)}\n" for ti in t)
+        rows = [f"{ti},{np.exp(-ti)}\n" for ti in t]
+        text = "t,E\n" + "".join(rows)
+        spaced = "t,E\n" + "".join(rows[:50]) + "\n \t\n" + "".join(rows[50:])
         reports = []
-        for name, prefix in (("plain.csv", b""), ("bom.csv", b"\xef\xbb\xbf")):
+        for name, data in (("plain.csv", text.encode()),
+                           ("bom.csv", b"\xef\xbb\xbf" + text.encode()),
+                           ("blank.csv", spaced.encode())):
             path = tmp_path / name
-            path.write_bytes(prefix + text.encode())
+            path.write_bytes(data)
             assert main(["energy", "--input", str(path)]) == 0
             reports.append(capsys.readouterr().out)
-        assert reports[0] == reports[1] and "sigma1_hat = 1" in reports[0]
+        assert reports == [reports[0]] * 3 and "sigma1_hat = 1" in reports[0]
 
     def test_wrong_header_is_exit_2(self, tmp_path):
         path = tmp_path / "other.csv"

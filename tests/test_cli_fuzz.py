@@ -7,9 +7,10 @@ beside a result or before an error line fails the test.  Each override
 is drawn from extreme strings; the base run has M = 4 and T = 0.02, so
 every case ends well under a second.  The contents of energy CSVs are
 drawn from extreme times and energies, and a rate `energy` prints must
-match the rational least-squares slope.  Config files are drawn from the
-base file's lines, edited, and a file runs only when README's rules take
-it.
+match the rational least-squares slope.  A value drawn for a key's line
+of the config file must act as the same value given as that key's flag.
+Config files are drawn from the base file's lines, edited, and a file
+runs only when README's rules take it.
 """
 
 import contextlib
@@ -126,6 +127,26 @@ def test_every_exit_is_a_result_or_one_named_line(case):
     check_exit(status, err, argv)
     if status == 4:
         assert SOLVER_FAILURES & set(overrides.items()), (argv, err)
+
+
+def with_value(key, value) -> str:
+    """The base config with `key`'s line set to `value`."""
+    lines = [f"{key} = {value}" if line.partition("=")[0].strip() == key else line
+             for line in BASE_CONFIG.splitlines()]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(key=st.sampled_from(model.CONFIG_KEYS), value=values)
+def test_a_file_value_acts_as_its_flag(key, value):
+    # parse_config parses both with the same rule: the same status,
+    # stdout and stderr, from two runs at M = 4
+    flag = f"--{key.replace('_', '-')}={value}"
+    by_flag = run_main(["simulate", "--config=base.cfg", flag], {"base.cfg": BASE_CONFIG})
+    by_file = run_main(["simulate", "--config=base.cfg"],
+                       {"base.cfg": with_value(key, value)})
+    assert by_file == by_flag, (key, value)
+    check_exit(by_file[0], by_file[2], [flag])
 
 
 # Energy CSV contents: time spacings of 1 to 4 units, the unit from 1e-300

@@ -2,12 +2,13 @@
 generated under OPENBLAS_NUM_THREADS=1 and =2, is the same under both and
 matches `tests/golden/outputs.json`.
 
-Everywhere, the recorded rows must match within TOLERANCE of each
-column's largest magnitude, with the same line counts and the same text
-between numbers.  In the environment of the recording (Python, numpy and
-scipy versions and machine) the sha256 digests must match as well.  The
-test prints which comparison it ran.  Re-record with
-`python tests/golden/make.py`.
+Everywhere, each number of the recorded rows must match within TOLERANCE
+of its recorded value, or of `make.FLOOR` times its column's largest
+magnitude where that is larger, with the same line counts and the same
+text between numbers.  In the environment of the recording (Python, numpy
+and scipy versions and machine) the sha256 digests must match as well.
+The test prints the largest change it measured and which comparison it
+ran.  Re-record with `python tests/golden/make.py`.
 """
 
 import json
@@ -30,11 +31,15 @@ def test_outputs_match_the_recording():
     assert one.keys() == recorded.keys()
     changes = {name: make.compare(name, recorded[name], data)[1]
                for name, data in one.items()}
+    worst = max(changes, key=changes.get)
+    where = f" ({worst})" if changes[worst] else ""
+    print(f"contract: largest change {changes[worst]:.3g}{where} against a bound "
+          f"of {TOLERANCE:g}")
     assert all(change <= TOLERANCE for change in changes.values()), changes
     if RECORDING["environment"] != make.environment():
-        print(f"contract: recorded rows within {TOLERANCE:g} of each column's largest "
-              f"magnitude; recorded in {RECORDING['environment']}, "
-              f"running in {make.environment()}")
+        print(f"contract: recorded rows within {TOLERANCE:g} of each value (floor "
+              f"{make.FLOOR:g} of its column's largest magnitude); recorded in "
+              f"{RECORDING['environment']}, running in {make.environment()}")
         return
     print("contract: exact sha256 digests and recorded rows, in the recording's "
           f"environment {RECORDING['environment']}")
@@ -60,3 +65,23 @@ def test_compare_scales_each_change_by_its_column(name, line):
     assert changed == 1 and change == pytest.approx(1e-12, rel=1e-3)
 
     assert make.compare(name, recorded, "\n".join(rows[:-1]).encode())[1] == float("inf")
+
+
+def test_compare_holds_small_values_to_their_own_size():
+    # only the recorded rows are compared; the others may be blank
+    name = "baseline/energy.csv"
+    recorded = RECORDING["outputs"][name]
+    lines = [""] * recorded["lines"]
+    for ln, text in recorded["rows"].items():
+        lines[int(ln) - 1] = text
+    assert make.compare(name, recorded, "\n".join(lines).encode()) == (0, 0.0)
+
+    # the last E, 3.958e-05, up by 1e-3 relative: against the column's
+    # largest magnitude, E(0) = 1012.6, the change would read 3.9e-11;
+    # against the floor, 1e-3 of E(0), it reads 3.9e-08
+    cells = lines[-1].split(",")
+    cells[2] = "%.17g" % (float(cells[2]) * (1 + 1e-3))
+    lines[-1] = ",".join(cells)
+    changed, change = make.compare(name, recorded, "\n".join(lines).encode())
+    assert changed == 1 and change == pytest.approx(3.909e-8, rel=1e-3)
+    assert change > TOLERANCE

@@ -135,8 +135,8 @@ class TestValidate:
                 validate(baseline_params(), good_config(probe_points=(x,)))
 
     def test_repeated_probe_rejected(self):
-        # ProbeRecorder keys its samples by x: a repeat would interleave two
-        # appends per step into one time series.
+        # `validate` keeps the rule: a repeat would write one probe file
+        # twice.  ProbeRecorder keys its samples by x and records it once.
         with pytest.raises(ConfigError, match="probe point 0.6 given twice"):
             validate(baseline_params(), good_config(probe_points=(0.6, 0.3, 0.6)))
 

@@ -379,7 +379,8 @@ class TestSolve:
                              + [(*m, False) for m in PIVOTED])
     def test_path_follows_the_pivots(self, M, dt, pivot_free):
         system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
-        assert (system._lu is None) is pivot_free
+        # the sweeps read neither the full factor nor the pivots
+        assert (system._lu is None) is (system._piv is None) is pivot_free
 
     @pytest.mark.parametrize("M, dt", PIVOT_FREE + SCALED + PIVOTED)
     def test_one_factorization(self, monkeypatch, M, dt):
@@ -540,7 +541,8 @@ class TestRun:
         assert calls == list(range(11))
         # snapshots at n = 0, 4, 8 and the forced final step 10
         assert snap.times == pytest.approx([0.0, 0.4, 0.8, 1.0])
-        assert snap.nodes == UniformMesh(config.M, PARAMS.L).nodes.tolist()
+        nodes = UniformMesh(config.M, PARAMS.L).nodes.tolist()
+        assert [mesh.nodes.tolist() for mesh in snap.meshes] == [nodes] * 4
         assert [f.shape for f in snap.fields] == [(config.M + 1, 4)] * 4
         assert snap.fields[0][0, 0] == 0.0  # u at x = 0
 
@@ -556,7 +558,7 @@ class TestRun:
             fields.append(np.column_stack(
                 [np.pad(getattr(state, k), 1) for k in ("u", "phi", "psi", "w")]))
             state = advance(system, state)
-        assert snap.nodes == mesh.nodes.tolist()
+        assert snap.meshes == [mesh] * 3  # references, not copies
         assert snap.times == times
         for got, expected in zip(snap.fields, fields, strict=True):
             assert got.tobytes() == expected.tobytes()
@@ -733,6 +735,13 @@ class TestRun:
                                        for k in ("u", "phi", "psi", "w")))
                 assert probe.samples[x][-1] == expected
             state = advance(system, state)
+
+    def test_repeated_probe_point_is_one_series(self):
+        # the points are the keys of `samples`: a repeat records once per step
+        probe = ProbeRecorder((0.6, 0.6))
+        run(PARAMS, SimulationConfig(M=10, dt=0.01, T=0.03), sine_initial_data(1.0),
+            observers=(probe,))
+        assert list(probe.samples) == [0.6] and len(probe.samples[0.6]) == 4
 
 
 @settings(max_examples=10, deadline=None)
