@@ -90,7 +90,8 @@ class TestWriteCsv:
                     observers=(snap,))
         header = "x,t,u,phi,psi,w"
         cli.write_csv(tmp_path / "text.csv", header, cli._snapshot_rows(snap))
-        rows = [(x, t, *f) for mesh, t, fields in zip(snap.meshes, snap.times, snap.fields)
+        rows = [(x, t, *f)
+                for mesh, t, fields in zip(snap.meshes, snap.times, snap.fields)
                 for x, f in zip(mesh.nodes.tolist(), fields.tolist())]
         assert len(rows) == 4 * 10  # snapshots at n = 0, 2, 4, 5
         expected = "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
@@ -101,12 +102,15 @@ class TestWriteCsv:
         # mesh's x, from 0 to L, and the clamped ends' zero fields
         snap = stepper.SnapshotRecorder(1)
         for M in (4, 8):
-            stepper.run(model.baseline_params(), model.SimulationConfig(M=M, dt=0.01, T=0.01),
-                        model.sine_initial_data(1.0), observers=(snap,))
+            config = model.SimulationConfig(M=M, dt=0.01, T=0.01)
+            stepper.run(model.baseline_params(), config, model.sine_initial_data(1.0),
+                        observers=(snap,))
         rows = list(cli._snapshot_rows(snap))
         assert len(rows) == 2 * 5 + 2 * 9  # n = 0, 1 on each mesh
-        for block, M in zip((rows[:5], rows[5:10], rows[10:19], rows[19:]), (4, 4, 8, 8)):
-            assert [x for x, *_ in block] == [_fmt(x) for x in np.linspace(0.0, 1.0, M + 1)]
+        blocks = (rows[:5], rows[5:10], rows[10:19], rows[19:])
+        for block, M in zip(blocks, (4, 4, 8, 8)):
+            nodes = np.linspace(0.0, 1.0, M + 1)
+            assert [x for x, *_ in block] == [_fmt(x) for x in nodes]
             assert block[0][2:] == block[-1][2:] == (0.0,) * 4
 
     def test_never_sets_the_umask(self, tmp_path, monkeypatch):

@@ -142,7 +142,8 @@ def test_a_file_value_acts_as_its_flag(key, value):
     # parse_config parses both with the same rule: the same status,
     # stdout and stderr, from two runs at M = 4
     flag = f"--{key.replace('_', '-')}={value}"
-    by_flag = run_main(["simulate", "--config=base.cfg", flag], {"base.cfg": BASE_CONFIG})
+    by_flag = run_main(["simulate", "--config=base.cfg", flag],
+                       {"base.cfg": BASE_CONFIG})
     by_file = run_main(["simulate", "--config=base.cfg"],
                        {"base.cfg": with_value(key, value)})
     assert by_file == by_flag, (key, value)
