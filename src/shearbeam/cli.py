@@ -10,8 +10,8 @@ Subcommands:
 
 All CSV files are written atomically (temp file + rename), one `%` line
 per file built from its first row, with a fixed 17-significant-digit float
-format, so identical inputs produce byte-identical outputs at any BLAS
-thread count.
+format; every sum behind an output is numpy's, none BLAS's, so identical
+inputs produce byte-identical outputs at any BLAS thread count.
 Exit codes: 0 success, 2 configuration error (a run too large for memory
 included), 3 I/O error, 4 solver failure.
 """

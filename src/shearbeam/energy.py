@@ -42,7 +42,6 @@ class DecaySummary:
 
     sigma1_hat: float
     sigma0_hat: float
-    fit_window: tuple[float, float]
     fit_residual: float
 
 
@@ -97,12 +96,13 @@ def fit_line(x: np.ndarray, y: np.ndarray):
     its value at x = 0 and its values at the x.  Fitted in closed form
     (np.polyfit's SVD pages in 0.8 MiB of library code) on x centred and
     scaled to [-1, 1], so that no sum over powers of x overflows; the slope
-    and intercept may leave double range, without a warning."""
+    and intercept may leave double range, without a warning.  Its sums are
+    numpy's, not BLAS dots, so its bits ignore the BLAS thread count."""
     mid = x.min() / 2.0 + x.max() / 2.0
     half = x.max() - mid
     s = (x - mid) / half
     ds, dy = s - s.mean(), y - y.mean()
-    a = np.dot(ds, dy) / np.dot(ds, ds)
+    a = (ds * dy).sum() / (ds * ds).sum()
     b = y.mean() - a * s.mean()
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at mid = 0
         slope = a / half
@@ -136,4 +136,4 @@ def fit_decay(series: EnergySeries, window: tuple[float, float]) -> DecaySummary
     span = float(logE.max() - logE.min()) or max(1.0, np.abs(logE).max())
     residual = float(np.abs(logE - fitted).max() / span)
     return DecaySummary(sigma1_hat=float(-slope), sigma0_hat=float(sigma0),
-                        fit_window=(float(lo), float(hi)), fit_residual=residual)
+                        fit_residual=residual)

@@ -93,8 +93,6 @@ RESIDUAL_TOL = 1e-12
 # Scaling down cannot overflow.
 _PSI_SCALE = 2.0 ** 6
 
-_ENERGY_ROWS = 1024  # nodes (8192 entries) per partial sum of `discrete_energy`
-
 
 def _windows(v: np.ndarray) -> np.ndarray:
     """(M-1, 3k) view of a contiguous (M+1, k) node-major array whose row i
@@ -205,13 +203,12 @@ def _energy_stencil(params: PhysicalParams, h: float) -> np.ndarray:
 def discrete_energy(state: State, params: PhysicalParams, stencil=None) -> float:
     """Energy of one discrete state, 1/2 s.(E s); positive definite for
     positive params.  `stencil` is E when the caller holds it, else it is
-    built.  OpenBLAS computes the dot of each chunk on one thread, so the
-    bits do not depend on its thread count."""
+    built.  numpy sums it, not BLAS: no bit depends on the thread count."""
     if stencil is None:
         stencil = _energy_stencil(params, state.mesh.h)
-    es, s = state.windows() @ stencil, state._s[1:-1]
-    return 0.5 * math.fsum(np.vdot(s[i:i + _ENERGY_ROWS], es[i:i + _ENERGY_ROWS])
-                           for i in range(0, len(s), _ENERGY_ROWS))
+    es = state.windows() @ stencil
+    es *= state._s[1:-1]
+    return 0.5 * float(es.sum())
 
 
 class BlockSystem:
@@ -328,9 +325,10 @@ def advance(system: BlockSystem, state: State, loads=None) -> State:
     # decide pass or fail, so their bits may follow the BLAS thread count.
     r = system.matvec(x_new) - rhs
     residual = math.sqrt(np.vdot(r, r))
-    bound = RESIDUAL_TOL * system._A_norm * math.sqrt(np.vdot(x_new, x_new))
+    xx = np.vdot(x_new, x_new)
+    bound = RESIDUAL_TOL * system._A_norm * math.sqrt(xx)
     n = state.n + 1
-    if not residual <= bound:
+    if not residual <= bound < math.inf:
         # vdot overflows once entries pass about 1e154: decide again in
         # the inf-norm, which cannot overflow and which a NaN still fails.
         residual = np.abs(r).max()
@@ -349,6 +347,8 @@ def advance(system: BlockSystem, state: State, loads=None) -> State:
     # either product has one nonzero term.  Half the cost of column slices.
     s_new = x_new @ system._update + s @ _DISPLACEMENTS
     s_new[:, _SPRING] = s_new[:, _DPHI] - s_new[:, _U]
+    if xx < 2.0 ** -1000:  # end a decay at 0, not at slow subnormal residue
+        s_new[np.abs(s_new) < 2.0 ** -1022] = 0.0
     return State(system.mesh, s_new, n * system.dt, n)
 
 

@@ -4,6 +4,8 @@ import os
 import re
 import stat
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -594,6 +596,27 @@ class TestEnergyCommand:
         printed = [*window, *(line.split(" = ")[1] for line in out[1:4])]
         assert report.read_text().splitlines()[1] == ",".join(printed)
         assert printed[:2] == ["0.10000000000000001", "3.2999999999999998"]
+
+    def test_report_is_the_same_at_any_blas_thread_count(self, tmp_path):
+        # The default window, t in [100, 200], holds 20,001 samples: far
+        # past the length from which OpenBLAS splits a dot across threads.
+        t = 0.005 * np.arange(40001)
+        noise = np.random.default_rng(31).normal(scale=1e-3, size=t.size)
+        E = 1e3 * np.exp(-1.3 * t) * (1.0 + noise)
+        path = tmp_path / "energy.csv"
+        path.write_text("n,t,E\n" + "".join(f"{n},{_fmt(tn)},{_fmt(En)}\n"
+                                            for n, (tn, En) in enumerate(zip(t, E))))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                          env.get("PYTHONPATH")]))
+        reports = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            reports.append(subprocess.run(
+                [sys.executable, "-m", "shearbeam.cli", "energy", "--input", str(path)],
+                env=env, capture_output=True, check=True).stdout)
+        assert reports[0].startswith(b"fit_window = [100, 200]\nsigma1_hat = 1.29999")
+        assert reports[0] == reports[1]
 
     def test_explicit_window(self, tmp_path, capsys):
         t = np.linspace(0.0, 4.0, 101)

@@ -8,7 +8,7 @@ magnitude where that is larger, with the same line counts and the same
 text between numbers.  In the environment of the recording (Python, numpy
 and scipy versions and machine) the sha256 digests must match as well.
 The test prints the largest change it measured and which comparison it
-ran.  Re-record with `python tests/golden/make.py`.
+ran, past pytest's output capture, so a `pytest -q` log shows both.  Re-record with `python tests/golden/make.py`.
 """
 
 import json
@@ -23,7 +23,7 @@ TOLERANCE = 1e-9
 RECORDING = json.loads(make.RECORDING.read_text())
 
 
-def test_outputs_match_the_recording():
+def test_outputs_match_the_recording(capsys):
     one, split = make.generate_twice()
     assert not split, f"outputs that differ between 1 and 2 BLAS threads: {split}"
 
@@ -33,19 +33,22 @@ def test_outputs_match_the_recording():
                for name, data in one.items()}
     worst = max(changes, key=changes.get)
     where = f" ({worst})" if changes[worst] else ""
-    print(f"contract: largest change {changes[worst]:.3g}{where} against a bound "
-          f"of {TOLERANCE:g}")
+    exact = RECORDING["environment"] == make.environment()
+    with capsys.disabled():  # shown in a `pytest -q` log
+        print(f"\ncontract: largest change {changes[worst]:.3g}{where} against a "
+              f"bound of {TOLERANCE:g}")
+        if exact:
+            print("contract: exact sha256 digests and recorded rows, in the "
+                  f"recording's environment {RECORDING['environment']}")
+        else:
+            print(f"contract: recorded rows within {TOLERANCE:g} of each value (floor "
+                  f"{make.FLOOR:g} of its column's largest magnitude); recorded in "
+                  f"{RECORDING['environment']}, running in {make.environment()}")
     assert all(change <= TOLERANCE for change in changes.values()), changes
-    if RECORDING["environment"] != make.environment():
-        print(f"contract: recorded rows within {TOLERANCE:g} of each value (floor "
-              f"{make.FLOOR:g} of its column's largest magnitude); recorded in "
-              f"{RECORDING['environment']}, running in {make.environment()}")
-        return
-    print("contract: exact sha256 digests and recorded rows, in the recording's "
-          f"environment {RECORDING['environment']}")
-    changed = [name for name, data in one.items()
-               if make.digest(data) != recorded[name]["sha256"]]
-    assert not changed, f"outputs whose bytes changed: {changed}"
+    if exact:
+        changed = [name for name, data in one.items()
+                   if make.digest(data) != recorded[name]["sha256"]]
+        assert not changed, f"outputs whose bytes changed: {changed}"
 
 
 @pytest.mark.parametrize("name, line", [("convergence-40-320/convergence.csv", 5),

@@ -240,7 +240,6 @@ class TestFitDecay:
         E = np.where(t < 2.0, 7.0, 7.0 * np.exp(-(t - 2.0)))
         summary = fit_decay(EnergySeries(t, E), (2.0, 4.0))
         assert summary.sigma1_hat == pytest.approx(1.0, rel=1e-10)
-        assert summary.fit_window == (2.0, 4.0)
 
     def test_degenerate_window(self):
         t = np.linspace(0.0, 1.0, 11)

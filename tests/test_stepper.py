@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import types
 import warnings
 
@@ -272,6 +271,31 @@ class TestAdvance:
         with pytest.raises(SolverFailure, match="residual"):
             advance(system, state)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_residual_guard_catches_a_wrong_solve(self, monkeypatch, scale):
+        # at 1e200 both 2-norms overflow, and inf <= inf must not pass
+        mesh = UniformMesh(10, PARAMS.L)
+        system = assemble(PARAMS, mesh, 0.05)
+        sine = initial_state(sine_initial_data(PARAMS.L), mesh)
+        solve = system.solve
+
+        def wrong(rhs, out):
+            return np.multiply(solve(rhs, out), 1.5, out=out)
+
+        monkeypatch.setattr(system, "solve", wrong)
+        with pytest.raises(SolverFailure, match="linear solve residual"):
+            advance(system, stepper.State(mesh, sine._s * scale, 0.0, 0))
+
+    def test_decay_past_double_range_ends_at_zero(self):
+        # without the flush, subnormal rounding residue never decays
+        mesh = UniformMesh(10, PARAMS.L)
+        system = assemble(PARAMS, mesh, 0.05)
+        sine = initial_state(sine_initial_data(PARAMS.L), mesh)
+        state = stepper.State(mesh, sine._s * 1e-300, 0.0, 0)
+        for _ in range(400):
+            state = advance(system, state)
+        assert not state._s.any()
+
     def test_failed_step_is_named_by_advance(self, monkeypatch):
         mesh = UniformMesh(6, 1.0)
         system = assemble(PARAMS, mesh, 0.01)
@@ -308,11 +332,9 @@ class TestWindowCopy:
         mesh = UniformMesh(M, 1.0)
         system = assemble(PARAMS, mesh, 0.001)
         state = random_state(mesh, np.random.default_rng(M))
-        # summed over fixed chunks of nodes, two at M=1280
+        # numpy's own sum over the products, no BLAS dot
         es = self.expected(state, stepper._energy_stencil(PARAMS, mesh.h))
-        s, rows = state._s[1:-1], stepper._ENERGY_ROWS
-        energy = 0.5 * math.fsum(np.vdot(s[i:i + rows], es[i:i + rows])
-                                 for i in range(0, len(s), rows))
+        energy = 0.5 * float((state._s[1:-1] * es).sum())
         # D scales the xi, Phi and vartheta rows by 2^-6, exactly
         d = np.full(4, 2.0 ** -6)
         d[stepper._PSI] = 1.0
