@@ -29,8 +29,6 @@ import numpy as np
 from . import energy as energy_mod
 from . import femesh, mms, model, stepper, transform
 
-OUTPUT_DIR_ENV = "SHEARBEAM_OUTPUT_DIR"
-
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_SOLVER = 4
@@ -183,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--c", type=float, default=0.04, help="constant of the dt rule")
     conv.add_argument("--config", default=None,
                       help="optional config file supplying the constitutive constants")
-    conv.add_argument("--output-dir", dest="output_dir")
+    conv.add_argument("--output-dir", dest="output_dir", default=".")
 
     en = sub.add_parser("energy", help="decay-rate report from an energy CSV")
     en.add_argument("--input", required=True, help="energy CSV produced by simulate")
@@ -198,17 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_output_dir(args, fallback: str | None) -> str | None:
-    if args.output_dir is not None:
-        return args.output_dir
-    return os.environ.get(OUTPUT_DIR_ENV, fallback)
-
-
 # --- Subcommands ---
 
 def _cmd_simulate(args) -> int:
     overrides = {key: getattr(args, key) for key in model.CONFIG_KEYS}
-    overrides["output_dir"] = _resolve_output_dir(args, None)  # flag > env > file
     params, config = model.parse_config(args.config, overrides)
     model.validate(params, config)
 
@@ -256,7 +247,7 @@ def _cmd_convergence(args) -> int:
     case = mms.reference_case(params)
     rows = mms.convergence_table(case, levels, args.T)
 
-    out = Path(_resolve_output_dir(args, "."))
+    out = Path(args.output_dir)
     # Formatted once, for the CSV and stdout; _fmt(None) is "".
     header = "M,dt,error,ratio,order"
     table = [tuple(map(_fmt, (r.M, r.dt, r.error, r.ratio, r.observed_order)))

@@ -141,6 +141,13 @@ def element_count(M) -> int:
     return whole_number("M", M, 2)
 
 
+def probe_point(x, L: float) -> float:
+    """float(x) for a probe point in (0, L); ConfigError otherwise."""
+    if (real := positive_real("probe point", x)) >= L:
+        raise ConfigError(f"probe point {real} outside (0, {L})")
+    return real
+
+
 def num_steps(config: SimulationConfig) -> int:
     """Number of implicit steps: round(T/dt), in floats.  The run reports
     results at N*dt, which by validation lies within one dt of T."""
@@ -182,17 +189,17 @@ def validate(params: PhysicalParams, config: SimulationConfig,
     if T / dt == math.inf:
         raise ConfigError(f"T/dt is not finite (T={config.T!r}, dt={config.dt!r})")
     n = num_steps(config)
-    if n < 1 or abs(n * dt - T) > dt:
+    if n < 1:
+        raise ConfigError(f"T = {config.T} is less than half a step of {config.dt}: "
+                          "the run would take no step")
+    if abs(n * dt - T) > dt:
         raise ConfigError(
             f"T = {config.T} is not within one dt of a whole number of steps of {config.dt}")
 
     whole_number("snapshot_stride", config.snapshot_stride, 1)
 
-    L = float(params.L)
-    probes = [positive_real("probe point", x) for x in config.probe_points]
+    probes = [probe_point(x, float(params.L)) for x in config.probe_points]
     for i, x in enumerate(probes):
-        if x >= L:
-            raise ConfigError(f"probe point {x} outside (0, {L})")
         if x in probes[:i]:
             raise ConfigError(f"probe point {x} given twice")
 

@@ -68,8 +68,8 @@ import numpy as np
 
 from ._lapack import lapack
 from .femesh import UniformMesh, interpolate_fields, load_vector, stencils
-from .model import (ConfigError, InitialData, PhysicalParams,
-                    SimulationConfig, SolverFailure, num_steps, validate)
+from .model import (ConfigError, InitialData, PhysicalParams, SimulationConfig,
+                    SolverFailure, num_steps, probe_point, validate, whole_number)
 
 # Band widths of the interleaved ordering: the farthest coupling is
 # vartheta_i <-> Phi_{i +/- 1}, six positions away.
@@ -406,11 +406,11 @@ class ProbeRecorder:
         self._cells: list[tuple[list, int, float]] = []
 
     def __call__(self, state: State) -> None:
-        # Each point's series, element and local coordinate, located once
-        # per mesh, for the P1 interpolation below.
+        # Each point's series, element and local coordinate, checked and
+        # located once per mesh, for the P1 interpolation below.
         if state.mesh is not self._mesh:
-            self._mesh = state.mesh
-            located = map(state.mesh.locate, self.samples)
+            mesh = self._mesh = state.mesh
+            located = [mesh.locate(probe_point(x, mesh.L)) for x in self.samples]
             self._cells = [(series, int(e), float(s)) for series, (e, s)
                            in zip(self.samples.values(), located)]
         t, s = state.t, state._s
@@ -428,7 +428,7 @@ class SnapshotRecorder:
     """Full nodal fields every `stride` steps (plus the final step)."""
 
     def __init__(self, stride: int, n_final: int | None = None):
-        self.stride = int(stride)
+        self.stride = whole_number("snapshot_stride", stride, 1)
         self.n_final = n_final
         self.times: list[float] = []
         # Per snapshot: its state's mesh and an (M+1, 4) (u, phi, psi, w) array.

@@ -75,7 +75,7 @@ def generate(threads: str) -> dict[str, bytes]:
     """Every contract output, by name, from CLI calls run under
     OPENBLAS_NUM_THREADS=`threads`.  A call that fails or writes to
     stderr raises RuntimeError."""
-    env = {k: v for k, v in os.environ.items() if k != "SHEARBEAM_OUTPUT_DIR"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
     env["OPENBLAS_NUM_THREADS"] = threads

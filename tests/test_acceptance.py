@@ -47,7 +47,6 @@ def refinement_rows():
 @pytest.fixture(scope="session")
 def baseline_run():
     config = SimulationConfig(M=100, dt=0.005, T=10.0, probe_points=(0.6,))
-    mesh = UniformMesh(config.M, PARAMS.L)
     energy_rec = EnergyRecorder(PARAMS)
     stepper.run(PARAMS, config, sine_initial_data(PARAMS.L), observers=(energy_rec,))
     return energy_rec.series()
@@ -84,7 +83,6 @@ def test_criterion_3_energy_decay_property(baseline_run):
         h = params.L / M
         dt = h if rng.integers(2) == 0 else h / 2
         config = SimulationConfig(M=M, dt=dt, T=200 * dt)
-        mesh = UniformMesh(M, params.L)
         rec = EnergyRecorder(params)
         stepper.run(params, config, sine_initial_data(params.L), observers=(rec,))
         if check_monotone(rec.series(), 1e-9):

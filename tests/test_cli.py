@@ -222,18 +222,19 @@ class TestSimulate:
         # flag name follows the config key, including the reserved word
         assert main(["simulate", "--config", str(cfg), "--lambda", "2.5"]) == 0
 
-    def test_env_var_output_dir(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("value", ["", "envout"], ids=["empty", "directory"])
+    def test_environment_does_not_move_outputs(self, tmp_path, monkeypatch, value):
+        # The environment names no output directory: an exported value, even
+        # an empty one, leaves outputs in the file's output_dir (simulate)
+        # or the working directory (convergence).
         cfg = tiny_config(tmp_path)
-        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SHEARBEAM_OUTPUT_DIR", value)
         assert main(["simulate", "--config", str(cfg)]) == 0
-        assert (tmp_path / "envout" / "energy.csv").exists()
-
-    def test_flag_beats_env_var(self, tmp_path, monkeypatch):
-        cfg = tiny_config(tmp_path)
-        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
-        assert main(["simulate", "--config", str(cfg),
-                     "--output-dir", str(tmp_path / "flagout")]) == 0
-        assert (tmp_path / "flagout" / "energy.csv").exists()
+        assert main(["convergence", "--levels", "4,8", "--T", "0.1"]) == 0
+        assert (tmp_path / "out" / "energy.csv").exists()
+        assert (tmp_path / "convergence.csv").exists()
+        assert not (tmp_path / "energy.csv").exists()
         assert not (tmp_path / "envout").exists()
 
 

@@ -96,8 +96,12 @@ class TestValidate:
         with pytest.raises(ConfigError, match="T must be strictly positive and finite"):
             validate(baseline_params(), good_config(T=-1.0))
         # dt > 2T rounds to zero steps
-        with pytest.raises(ConfigError, match="not within one dt of a whole number of steps"):
+        with pytest.raises(ConfigError, match="less than half a step of 2.5: "
+                                              "the run would take no step"):
             validate(baseline_params(), good_config(dt=2.5, T=1.0))
+        # round(T/dt)*dt lands more than dt from T once T/dt passes 2**53
+        with pytest.raises(ConfigError, match="not within one dt of a whole number of steps"):
+            validate(baseline_params(), good_config(dt=0.3, T=1e17))
 
     def test_step_count_overflow(self):
         # T/dt overflows to inf: rejected before round(T/dt) is taken.

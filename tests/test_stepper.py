@@ -765,6 +765,19 @@ class TestRun:
             observers=(probe,))
         assert list(probe.samples) == [0.6] and len(probe.samples[0.6]) == 4
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: SnapshotRecorder(2.7), r"snapshot_stride must be .* \(got 2\.7\)"),
+        (lambda: SnapshotRecorder(0.5), r"snapshot_stride must be .* \(got 0\.5\)"),
+        (lambda: ProbeRecorder([1.5]), r"probe point 1\.5 outside \(0, 1\.0\)"),
+        (lambda: ProbeRecorder([-0.25]), "probe point must be strictly positive"),
+    ], ids=["fractional-stride", "stride-below-one", "probe-past-L", "negative-probe"])
+    def test_recorders_check_their_arguments(self, make, match):
+        # the rules `validate` applies to simulate's stride and probe points
+        # hold for a library caller's recorders too
+        with pytest.raises(ConfigError, match=match):
+            run(PARAMS, SimulationConfig(M=10, dt=0.01, T=0.05), sine_initial_data(1.0),
+                observers=(make(),))
+
 
 @settings(max_examples=10, deadline=None)
 @given(logs=st.lists(st.floats(min_value=-1.0, max_value=1.0),
