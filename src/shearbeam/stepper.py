@@ -44,14 +44,16 @@ its energy and the next step).  D A, D scaling the xi, Phi and vartheta
 rows of A down by a power of two, is assembled once in band storage — band
 width 6 on either side — and LU-factorized once per (params, mesh, dt) by
 LAPACK's dgbtrf; the scale spares it the row interchanges A itself needs
-on most coarser meshes.  Each step solves D A x = D rhs in place in the
-new state's unknowns: by two dtbtrs sweeps, over the unit-diagonal L,
-which does not divide, and over U, when dgbtrf made no interchanges (the
-bits of A's own LU, as a power of two scales exactly), and else by dgbtrs.
-Only the factors and that rhs hold the scale.  L, U, the full factor and D
-are arrays of their own, and LAPACK reads each factor without a copy; the
-three routines come from scipy's LAPACK extension (`_lapack`).  Each solve
-must pass a backward-error test against the stencil of A (`RESIDUAL_TOL`).
+on most coarser meshes.  When dgbtrf made no interchanges, D A = L U is
+refactored once as diag(u) L' U', u the diagonal of U, with the
+unit-diagonal bands L' = diag(u)^-1 L diag(u) and U' = diag(u)^-1 U; each
+step then solves L' U' x = (D/u) rhs in place in the new state's unknowns
+by two dtbtrs sweeps, neither of which divides.  Otherwise it solves
+D A x = D rhs by dgbtrs.  Only the factors and that rhs hold the scale.
+L', U', the full factor and the row scale are arrays of their own, and
+LAPACK reads each factor without a copy; the three routines come from
+scipy's LAPACK extension (`_lapack`).  Each solve must pass a
+backward-error test against the stencil of A (`RESIDUAL_TOL`).
 Optional sources f_i(x, t) = sum_k g_ik(x) tau_k(t) enter at the new time
 level, matching the backward-Euler character of the scheme: the load
 vectors of all g_ik are assembled in one call per mesh, and each step
@@ -275,11 +277,27 @@ class BlockSystem:
         self._d = np.tile(d, (n, 1))
         if _no_interchanges(piv):
             # No interchanges, so no fill-in: U and the unit-diagonal L are
-            # bands of 6 super- and subdiagonals, each swept once by dtbtrs,
-            # which divides by U's diagonal and leaves L's stored one (U's)
-            # unread.  Fortran-contiguous copies: f2py copies a slice per call.
-            self._upper = np.asfortranarray(lu[_KL:_KL + _KU + 1])
-            self._lower = np.asfortranarray(lu[_KL + _KU:])
+            # bands of 6 super- and subdiagonals, on either side of row c.
+            # U's diagonal u is folded out once, D A = diag(u) L' U', so
+            # that neither dtbtrs sweep divides: U' is U with each row over
+            # its pivot, L' holds (L_ij u_j)/u_i on its k-th subdiagonal
+            # (i = j + k), and the row scale becomes D/u.
+            c = _KL + _KU
+            u = lu[c]
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                for k in range(1, _KU + 1):
+                    lu[c - k, k:] /= u[:-k]
+                    lu[c + k, :-k] *= u[:-k]
+                    lu[c + k, :-k] /= u[k:]
+                self._d /= u.reshape(n, 4)
+            if not (np.isfinite(lu[_KL:]).all() and np.isfinite(self._d).all()):
+                raise SolverFailure(
+                    "folded factor is not finite: the pivots of the step "
+                    "matrix lie too far apart in scale")
+            # Fortran-contiguous copies: f2py copies a slice per call.
+            self._upper = np.asfortranarray(lu[_KL:c + 1])
+            self._lower = np.asfortranarray(lu[c:])
+            self._upper[_KU] = self._lower[0] = 1.0
             self._lu = self._piv = None
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
@@ -294,7 +312,7 @@ class BlockSystem:
         if self._lu is None:  # positional uplo, trans, diag, overwrite_b: faster
             b, info = lapack.dtbtrs(self._lower, b, "L", "N", "U", 1)
             if info == 0:
-                b, info = lapack.dtbtrs(self._upper, b, "U", "N", "N", 1)
+                b, info = lapack.dtbtrs(self._upper, b, "U", "N", "U", 1)
         else:
             b, info = lapack.dgbtrs(self._lu, _KL, _KU, b, self._piv, overwrite_b=1)
         if info != 0:

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from shearbeam import cli, mms, model, stepper
+from shearbeam._lapack import lapack
 from shearbeam.cli import _fmt, main
 from shearbeam.energy import EnergyRecorder
 
@@ -268,6 +270,24 @@ class TestErrorPaths:
         monkeypatch.setattr(stepper, "RESIDUAL_TOL", -1.0)
         assert main(["simulate", "--config", str(cfg)]) == 4
         assert capsys.readouterr().err.startswith("SolverFailure: step 1")
+
+    def test_folded_factor_overflow_is_exit_4(self, tmp_path, capsys, monkeypatch):
+        # two pivots of a pivot-free factor 2^1200 apart: the factor is
+        # finite, the folded L' is not; refused at assembly, before any
+        # step or output
+        def dgbtrf(*args):
+            lu, piv, info = lapack.dgbtrf(*args)
+            lu[stepper._KL + stepper._KU, :2] *= (2.0 ** 600, 2.0 ** -600)
+            return lu, piv, info
+
+        monkeypatch.setattr(stepper, "lapack", types.SimpleNamespace(dgbtrf=dgbtrf))
+        argv = ["simulate", "--config", str(BASELINE_CFG), "--M", "40", "--dt", "0.001",
+                "--T", "0.01", "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("SolverFailure: folded factor is not finite")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flags, position", [
         (["--lambda", "1e250"], 12),

@@ -112,7 +112,7 @@ def test_solves_overwrite_a_contiguous_column_in_place():
     # uplo, trans, diag and overwrite_b as `BlockSystem.solve` passes them
     for solve, matrix in (
             (lambda b: lapack.dtbtrs(lower, b, "L", "N", "U", 1), np.eye(n) + sub),
-            (lambda b: lapack.dtbtrs(upper, b, "U", "N", "N", 1), a - sub),
+            (lambda b: lapack.dtbtrs(upper, b, "U", "N", "U", 1), np.eye(n) + sup),
             (lambda b: lapack.dgbtrs(lu, 1, 1, b, piv, overwrite_b=1), a)):
         rhs = np.arange(1.0, n + 1)
         b = rhs.reshape(n, 1).copy()

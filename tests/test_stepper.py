@@ -335,11 +335,8 @@ class TestWindowCopy:
         # numpy's own sum over the products, no BLAS dot
         es = self.expected(state, stepper._energy_stencil(PARAMS, mesh.h))
         energy = 0.5 * float((state._s[1:-1] * es).sum())
-        # D scales the xi, Phi and vartheta rows by 2^-6, exactly
-        d = np.full(4, 2.0 ** -6)
-        d[stepper._PSI] = 1.0
-        scaled = self.expected(state, system._R) * d
-        # the step solves D A x = D rhs in place: the first sweep gets D rhs
+        # the step sweeps in place from the row-scaled rhs
+        scaled = self.expected(state, system._R) * system._d
         received = spy_on_solves(monkeypatch)
         if energy_first:
             assert discrete_energy(state, PARAMS) == energy
@@ -372,6 +369,9 @@ class TestWindowCopy:
 PIVOT_FREE = [(1280, 0.001), (320, 1.25e-4)]
 SCALED = [(100, 0.005), (160, 2.5e-4), (80, 5e-4), (40, 1e-3)]
 PIVOTED = [(8, 0.01), (20, 0.05)]
+# The two coarsest meshes, pivot-free at dt = 1e-3: with 4 and 8 unknowns,
+# the bands' 6 off-diagonals are cut short on most of their columns.
+COARSEST = [(2, 0.001), (3, 0.001)]
 
 
 def factorize(stencil, n):
@@ -393,6 +393,17 @@ def scaled_solve(system, rhs, scale):
     x, info = lapack.dgbtrs(lu, stepper._KL, stepper._KU, d * rhs, piv)
     assert info == 0
     return x
+
+
+def band_matrix(band, offsets):
+    """The dense matrix whose diagonal offsets[r] (> 0 above the main one)
+    is row r of `band`, in LAPACK's column-aligned band storage."""
+    n = band.shape[1]
+    a = np.zeros((n, n))
+    for row, off in zip(band, offsets):
+        j = np.arange(max(off, 0), min(n, n + off))
+        a[j - off, j] = row[j]
+    return a
 
 
 class TestSolve:
@@ -424,29 +435,51 @@ class TestSolve:
         _, piv = factorize(system._A, M - 1)
         assert not stepper._no_interchanges(piv)
 
-    @pytest.mark.parametrize("M, dt", PIVOT_FREE)
-    def test_sweeps_match_dgbtrs_bit_for_bit(self, M, dt):
-        system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
-        lu, piv = factorize(system._A, M - 1)
-        rhs = np.random.default_rng(M).normal(size=system.n_unknowns)
-        x, info = lapack.dgbtrs(lu, stepper._KL, stepper._KU, rhs, piv)
-        assert info == 0
-        assert solved(system, rhs).tobytes() == x.tobytes()
-
-    @pytest.mark.parametrize("M, dt", PIVOT_FREE)
-    def test_unscaled_sweeps_match_a_scaled_factorization(self, M, dt):
-        # a power-of-two row scale changes no bit of the solution
+    @pytest.mark.parametrize("M, dt", COARSEST + PIVOT_FREE + SCALED)
+    def test_folded_sweeps_agree_with_dgbtrs(self, M, dt):
+        # the fold gives up the bits of D A's own LU, not its accuracy
         system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
         rhs = np.random.default_rng(M).normal(size=system.n_unknowns)
-        assert solved(system, rhs).tobytes() == scaled_solve(system, rhs, 2.0 ** 6).tobytes()
+        x = scaled_solve(system, rhs, stepper._PSI_SCALE)
+        assert np.abs(solved(system, rhs) - x).max() <= 1e-13 * np.abs(x).max()
 
-    @pytest.mark.parametrize("M, dt", SCALED)
-    def test_scaled_sweeps_do_not_depend_on_the_scale(self, M, dt):
-        system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
+    @pytest.mark.parametrize("M, dt", PIVOT_FREE + SCALED)
+    def test_scaled_sweeps_do_not_depend_on_the_scale(self, monkeypatch, M, dt):
+        # a row scale of 2^-7 takes the same pivot-free path to the same x
+        mesh = UniformMesh(M, PARAMS.L)
+        system = assemble(PARAMS, mesh, dt)
+        monkeypatch.setattr(stepper, "_PSI_SCALE", 2.0 ** 7)
+        other = assemble(PARAMS, mesh, dt)
+        assert other._lu is None
         rhs = np.random.default_rng(M).normal(size=system.n_unknowns)
         x = solved(system, rhs)
-        assert x.tobytes() == scaled_solve(system, rhs, 2.0 ** 6).tobytes()
-        assert x.tobytes() == scaled_solve(system, rhs, 2.0 ** 7).tobytes()
+        assert np.abs(solved(other, rhs) - x).max() <= 1e-13 * np.abs(x).max()
+
+    @pytest.mark.parametrize("M, dt", COARSEST + SCALED + PIVOT_FREE[1:])
+    def test_folded_factors_rebuild_the_lu(self, M, dt):
+        # D A = L U = diag(u) L' U' for u = diag(U), with the unit-diagonal
+        # L' = diag(u)^-1 L diag(u) and U' = diag(u)^-1 U, and row scale D/u
+        system = assemble(PARAMS, UniformMesh(M, PARAMS.L), dt)
+        kl, ku = stepper._KL, stepper._KU
+        d = np.tile([1.0 if c == stepper._PSI else 1.0 / stepper._PSI_SCALE
+                     for c in range(4)], M - 1)
+        lu, _ = factorize(system._A * d[:4], M - 1)
+        # no interchanges, so no fill-in: L and U are all of the factor
+        assert not lu[:kl].any()
+        lower = band_matrix(lu[kl + ku:], range(0, -kl - 1, -1))
+        np.fill_diagonal(lower, 1.0)
+        upper = band_matrix(lu[kl:kl + ku + 1], range(ku, -1, -1))
+        u = np.diag(upper).copy()
+        folded_lower = band_matrix(system._lower, range(0, -kl - 1, -1))
+        folded_upper = band_matrix(system._upper, range(ku, -1, -1))
+        assert (np.diag(folded_lower) == 1.0).all()
+        assert (np.diag(folded_upper) == 1.0).all()
+        assert_allclose(u[:, None] * folded_lower / u, lower, rtol=2e-15, atol=0)
+        assert_allclose(u[:, None] * folded_upper, upper, rtol=2e-15, atol=0)
+        assert_allclose(system._d.ravel() * u, d, rtol=2e-15, atol=0)
+        scaled = d[:, None] * step_matrix(system)
+        assert_allclose(u[:, None] * (folded_lower @ folded_upper), scaled,
+                        rtol=0, atol=1e-14 * np.abs(scaled).max())
 
     @pytest.mark.parametrize("M, dt", [PIVOT_FREE[1], SCALED[0], PIVOTED[0]])
     def test_advance_gives_the_bits_of_solve(self, M, dt):
